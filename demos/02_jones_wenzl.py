@@ -8,7 +8,6 @@ shows absorption of smaller projectors.
 
 from tlexact.diagrams import TLElement, element_to_str, identity_pairing
 from tlexact.projectors import (
-    _add_strand,
     close_rightmost,
     jones_wenzl,
     partial_close,
@@ -36,5 +35,5 @@ print(f"  three closures give {partial_close(n, 3)} * JW_2:",
 
 print("\nabsorption: a smaller projector padded with through strands is")
 print("swallowed by the bigger one:")
-e = _add_strand(_add_strand(jones_wenzl(3)))
+e = jones_wenzl(3).embed(0, 2)
 print("  (JW_3 + 2 strands) JW_5 == JW_5:", e * jw == jw)

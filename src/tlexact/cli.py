@@ -80,12 +80,12 @@ def _require(args, *names):
             f"n={args.n} exceeds the safety limit --max-n={args.max_n}")
 
 
-def _convert_ring(e, ring, p):
-    if ring == "Q":
+def _in_ring(e, args):
+    """e over --ring; Zp and Fp need --p and a p-integral e."""
+    if args.ring == "Q":
         return e
-    if p is None:
-        raise UsageError("--p is required for ring Zp or Fp")
-    return e.to_Zp(p) if ring == "Zp" else e.reduce_mod_p(p)
+    _require(args, "p")
+    return projectors.convert_ring(e, args.ring, args.p)
 
 
 def _cmd_jw(args):
@@ -132,7 +132,7 @@ def _cmd_pjw(args):
             status = 1
     out = direct if direct is not None else recursive
     if out is not None:
-        _print_element(_convert_ring(out, args.ring, args.p), args.json)
+        _print_element(_in_ring(out, args), args.json)
     elif method != "both":
         # no expansion requested or possible: print the index set summary
         tabs = {m: tableaux.tableau_from_index(m, args.n, args.p)
@@ -167,7 +167,7 @@ def _cmd_idempotent(args):
     cache, path = _load_cache(args)
     e = projectors.seminormal_idempotent(t)
     _save_cache(cache, path)
-    _print_element(_convert_ring(e, args.ring, args.p), args.json)
+    _print_element(_in_ring(e, args), args.json)
     return 0
 
 
@@ -260,15 +260,37 @@ def _cmd_verify_all(args):
     return 0 if _emit_reports(reports, args.json) else 1
 
 
+_FLAGS = {
+    "--n": {"type": int},
+    "--p": {"type": int},
+    "--ring": {"choices": ("Q", "Zp", "Fp"), "default": "Q"},
+    "--method": {"choices": ("direct", "recursive", "both"),
+                 "default": "direct"},
+    "--tableau": {"help": "comma-separated column indices, e.g. 1,1,2"},
+    "--cache": {"help": "path of the Jones-Wenzl JSON cache "
+                "(TL_CACHE overrides)"},
+    "--json": {"action": "store_true"},
+    "--max-n": {"type": int, "default": 12,
+                "help": "safety limit on the strand count (default 12)"},
+    "--slow-expand": {"action": "store_true",
+                      "help": "force full diagram expansions past the "
+                      "feasibility threshold"},
+}
+
+_CHECK_FLAGS = ("--n", "--p", "--json", "--max-n")
+
+# each subcommand: its handler and the flags that handler reads
 _COMMANDS = {
-    "jw": _cmd_jw,
-    "pjw": _cmd_pjw,
-    "idempotent": _cmd_idempotent,
-    "classes": _cmd_classes,
-    "collapse": _cmd_collapse,
-    "diamond-check": _cmd_diamond_check,
-    "klr-check": _cmd_klr_check,
-    "verify-all": _cmd_verify_all,
+    "jw": (_cmd_jw, ("--n", "--cache", "--json", "--max-n")),
+    "pjw": (_cmd_pjw, ("--n", "--p", "--ring", "--method", "--cache",
+                       "--json", "--max-n", "--slow-expand")),
+    "idempotent": (_cmd_idempotent, ("--tableau", "--p", "--ring", "--cache",
+                                     "--json", "--max-n")),
+    "classes": (_cmd_classes, _CHECK_FLAGS),
+    "collapse": (_cmd_collapse, _CHECK_FLAGS),
+    "diamond-check": (_cmd_diamond_check, _CHECK_FLAGS),
+    "klr-check": (_cmd_klr_check, _CHECK_FLAGS),
+    "verify-all": (_cmd_verify_all, _CHECK_FLAGS),
 }
 
 
@@ -277,24 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tlexact",
         description="Exact Temperley-Lieb computations at loop parameter 2.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--ring", choices=("Q", "Zp", "Fp"), default="Q")
-        sp.add_argument("--method", choices=("direct", "recursive", "both"),
-                        default="direct")
-        sp.add_argument("--tableau", type=str, default=None,
-                        help="comma-separated column indices, e.g. 1,1,2")
-        sp.add_argument("--cache", type=str, default=None,
-                        help="path of the Jones-Wenzl JSON cache "
-                        "(TL_CACHE overrides)")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--max-n", type=int, default=12,
-                        help="safety limit on the strand count (default 12)")
-        sp.add_argument("--slow-expand", action="store_true",
-                        help="force full diagram expansions past the "
-                        "feasibility threshold")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -305,7 +313,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

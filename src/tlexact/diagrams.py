@@ -23,8 +23,12 @@ Elements carry one of three coefficient rings: "Q" (Fraction), "Zp"
 (Fraction, checked p-integral), or "Fp" (integers mod p).
 
 The module also provides the half-diagram machinery: "frames" are planar
-matchings of B bottom and S top points used both for the cell modules and
-for the nested-projector construction in :mod:`tlexact.projectors`.
+matchings of n bottom and S top points, used both for the cell modules and
+for the nested-projector construction in :mod:`tlexact.projectors`.  When
+S <= n, a frame is exactly a TL_n diagram once its n-S free southern labels
+n+S..2n-1 are closed by adjacent cups x <-> x^1 (non-crossing, because they
+come last in circular order).  Every gluing of frames is therefore a product
+of these padded diagrams, run through the same kernel as element products.
 """
 
 from __future__ import annotations
@@ -112,16 +116,33 @@ def all_matchings(n: int) -> list:
 
 
 def star_pairing(pairing: bytes) -> bytes:
-    two_n = len(pairing)
-    return bytes(two_n - 1 - pairing[two_n - 1 - x] for x in range(two_n))
+    """Reflection: x <-> y becomes 2n-1-x <-> 2n-1-y."""
+    flip = bytes(range(len(pairing) - 1, -1, -1)).ljust(256, b"\0")
+    return pairing[::-1].translate(flip)
+
+
+def embed_pairing(d: bytes, left: int, right: int) -> bytes:
+    """Place an n-strand diagram on the middle strands of TL_(left+n+right),
+    with through strands on either side.  (left, right) = (0, 1) is the
+    inclusion TL_(n-1) -> TL_n; on a padded frame, (0, k) appends k fresh
+    strands at its right edge."""
+    n = len(d) // 2
+    m = left + n + right
+    relabel = (bytes(range(left, left + n)) + bytes(range(m + right, m + right + n))
+               ).ljust(256, b"\0")
+    return (bytes(range(2 * m - 1, 2 * m - 1 - left, -1))
+            + d[:n].translate(relabel)
+            + bytes(range(2 * m - 1 - left - n, m - 1, -1))
+            + bytes(range(m - 1, m - 1 - right, -1))
+            + d[n:].translate(relabel)
+            + bytes(range(left - 1, -1, -1)))
 
 
 def compose_pairings(top: bytes, bot: bytes, n: int):
     """Concatenate ``top`` above ``bot``; returns (pairing, loops).
 
-    Straightforward strand tracing; the memoized fast path used by element
-    products lives in _MulContext, and this reference version backs the
-    frame machinery and differential tests.
+    Straightforward strand tracing: the independent reference that the
+    tests compare the gluing kernel of _MulContext against.
     """
     two_n = 2 * n
     last = two_n - 1
@@ -185,7 +206,7 @@ class _MulContext:
     wired through the slot pairing.
     """
 
-    __slots__ = ("n", "meta", "glue_memo", "pair_memo")
+    __slots__ = ("n", "meta", "glue_memo", "pair_memo", "compose")
 
     def __init__(self, n):
         self.n = n
@@ -193,6 +214,9 @@ class _MulContext:
         self.glue_memo = {}
         # full product memo; the diagram basis is small enough up to n = 7
         self.pair_memo = {} if n <= 7 else None
+        # compose(d1, d2) -> (pairing, loops): splice, through the pair memo
+        # when there is one
+        self.compose = self.splice if self.pair_memo is None else self._memo_splice
 
     def diagram_meta(self, d: bytes):
         """(south_key, north_key, north_slots, south_slots) for a diagram;
@@ -262,10 +286,8 @@ class _MulContext:
             # start from a slot endpoint and follow cups alternately
             if j0 in top_slot:
                 end0 = top_slot[j0]
-                side = "top"  # next cup to use is on the top side? no: start
             elif j0 in bot_slot:
                 end0 = k1 + bot_slot[j0]
-                side = "bot"
             else:
                 continue
             # j0 is a slot on one side and a cup endpoint on the other
@@ -306,13 +328,17 @@ class _MulContext:
         self.glue_memo[key] = result
         return result
 
-    def compose(self, d1: bytes, d2: bytes):
-        memo = self.pair_memo
-        if memo is not None:
-            key = d1 + d2
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+    def _memo_splice(self, d1: bytes, d2: bytes):
+        key = d1 + d2
+        hit = self.pair_memo.get(key)
+        if hit is None:
+            hit = self.pair_memo[key] = self.splice(d1, d2)
+        return hit
+
+    def splice(self, d1: bytes, d2: bytes):
+        """Glue d1 over d2; returns (pairing, loops).  Frame gluings call
+        this directly: each padded frame pair is glued once, so the pair
+        memo would only grow."""
         n = self.n
         skey, _, nslots1, _ = self.diagram_meta(d1)
         _, nkey, _, sslots2 = self.diagram_meta(d2)
@@ -332,10 +358,7 @@ class _MulContext:
             xb = nslots1[b] if b < k1 else sslots2[b - k1]
             out[xa] = xb
             out[xb] = xa
-        result = (bytes(out), loops)
-        if memo is not None:
-            memo[key] = result
-        return result
+        return bytes(out), loops
 
 
 _mul_contexts: dict = {}
@@ -347,6 +370,36 @@ def _context(n: int) -> _MulContext:
         ctx = _MulContext(n)
         _mul_contexts[n] = ctx
     return ctx
+
+
+def _product(a: dict, b: dict, compose, p=None) -> dict:
+    """The terms of the product of two term dicts: every pair glued by
+    compose(d1, d2) -> (pairing, loops), weighted by 2^loops.  Over F_p
+    (p given) the sums are reduced at the end; over Q denominators are
+    cleared first, so the inner loop multiplies plain integers and each
+    output diagram gets one Fraction."""
+    acc = {}
+    get = acc.get
+    if p is not None:
+        for d1, c1 in a.items():
+            for d2, c2 in b.items():
+                d3, loops = compose(d1, d2)
+                c = c1 * c2 * (1 << loops)
+                cur = get(d3)
+                acc[d3] = c if cur is None else cur + c
+        return {d: c % p for d, c in acc.items() if c % p}
+    da = _lcm_denominators(a)
+    db = _lcm_denominators(b)
+    a = {d: int(c * da) for d, c in a.items()}
+    b = {d: int(c * db) for d, c in b.items()}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d3, loops = compose(d1, d2)
+            c = c1 * c2 << loops
+            cur = get(d3)
+            acc[d3] = c if cur is None else cur + c
+    den = da * db
+    return {d: Fraction(c, den) for d, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -455,42 +508,24 @@ class TLElement:
     def __mul__(self, other):
         if not isinstance(other, TLElement):
             return self.scale(other)
+        return self._glue(other, _context(self.n).compose)
+
+    def _glue(self, other, compose):
         self._check_compatible(other)
-        ctx = _context(self.n)
-        compose = ctx.compose
-        acc = {}
-        get = acc.get
-        if self.ring == "Fp":
-            p = self.p
-            for d1, c1 in self.terms.items():
-                for d2, c2 in other.terms.items():
-                    d3, loops = compose(d1, d2)
-                    c = c1 * c2 * (1 << loops)
-                    cur = get(d3)
-                    acc[d3] = c if cur is None else cur + c
-            acc = {d: c % p for d, c in acc.items() if c % p}
-            return self._raw(acc)
-        # rational rings: clear denominators so the inner loop multiplies
-        # plain integers; one Fraction per output diagram at the end
-        da = _lcm_denominators(self.terms)
-        db = _lcm_denominators(other.terms)
-        a = {d: int(c * da) for d, c in self.terms.items()}
-        b = {d: int(c * db) for d, c in other.terms.items()}
-        for d1, c1 in a.items():
-            for d2, c2 in b.items():
-                d3, loops = compose(d1, d2)
-                c = c1 * c2 << loops
-                cur = get(d3)
-                acc[d3] = c if cur is None else cur + c
-        den = da * db
-        acc = {d: Fraction(c, den) for d, c in acc.items() if c}
-        return self._raw(acc)
+        p = self.p if self.ring == "Fp" else None
+        return self._raw(_product(self.terms, other.terms, compose, p))
 
     __rmul__ = scale
 
     def star(self):
         out = TLElement.zero(self.n, self.ring, self.p)
         out.terms = {star_pairing(d): c for d, c in self.terms.items()}
+        return out
+
+    def embed(self, left: int, right: int):
+        """self on the middle strands of TL_(left+n+right); see embed_pairing."""
+        out = TLElement.zero(left + self.n + right, self.ring, self.p)
+        out.terms = {embed_pairing(d, left, right): c for d, c in self.terms.items()}
         return out
 
     def __eq__(self, other):
@@ -663,110 +698,42 @@ def element_to_str(e: TLElement, max_word_n: int = 8) -> str:
 
 
 # ---------------------------------------------------------------------------
-# frames: planar matchings of B bottom points and S top points
+# frames: planar matchings of n bottom points and S top points
 #
-# Labels are circular: bottom points 0..B-1 left to right, then top points
+# Labels are circular: bottom points 0..n-1 left to right, then top points
 # continue right to left, so top position j (from the left, 0-based) has
-# label B + (S-1-j).  Bending the rightmost m top points down to the bottom
-# is then the identity on labels: only B changes.  A frame is the pair
-# (pairing, B).
+# label n + (S-1-j).  A frame is the pair (pairing, n).  Padded, its bottoms
+# are the northern points of a TL_n diagram and its tops the rightmost S
+# southern points.  So bending the m rightmost top points down to the bottom
+# only appends m padding cups, and each gluing below is one product: a frame
+# on top of a diagram a is a* pad(frame); a diagram on top of a frame is
+# pad(frame) times the reflected diagram on the rightmost S strands; and two
+# frames sandwich as pad(f1) pad(f2)*, where the padding cups close into
+# (n-S)/2 loops.
 
 
-def frame_empty():
-    return (b"", 0)
+def pad(frame) -> bytes:
+    """The TL_n diagram of a frame with n bottoms and S <= n tops."""
+    pairing, n = frame
+    if not n <= len(pairing) <= 2 * n or len(pairing) % 2:
+        raise ValueError("a frame pads to TL_n only with S <= n tops, n-S even")
+    return pairing + bytes(x ^ 1 for x in range(len(pairing), 2 * n))
 
 
-def frame_n_top(frame) -> int:
-    pairing, nbot = frame
-    return len(pairing) - nbot
-
-
-def frame_extend(frame, d: int):
-    """Append d through strands at the right edge."""
-    pairing, nbot = frame
-    new = bytearray(len(pairing) + 2 * d)
-    for x, y in enumerate(pairing):
-        a = x if x < nbot else x + 2 * d
-        b = y if y < nbot else y + 2 * d
-        new[a] = b
-    for j in range(d):
-        a = nbot + j              # new bottom point
-        b = nbot + 2 * d - 1 - j  # its top end (nested)
-        new[a] = b
-        new[b] = a
-    return (bytes(new), nbot + d)
-
-
-def frame_bend(frame, m: int):
-    """Bend the m rightmost top points down to the bottom right; in the
-    circular labelling this only reinterprets m top labels as bottoms."""
-    pairing, nbot = frame
-    if m > len(pairing) - nbot:
-        raise ValueError("cannot bend more strands than the frame has on top")
-    return (pairing, nbot + m)
+def frame_product(a: TLElement, b: TLElement) -> TLElement:
+    """a * b for padded frames, glued without the pair memo."""
+    return a._glue(b, _context(a.n).splice)
 
 
 def frame_stack(frame, diagram: bytes):
-    """Put an (S x S) diagram on top of the frame's S top points.
-    Returns (frame, loops).  Frame top position j (label nbot + S-1-j)
-    glues to the diagram's southern position j (label 2S-1-j)."""
-    pairing, nbot = frame
-    S = len(pairing) - nbot
-    assert len(diagram) == 2 * S, "diagram size must match the frame's top"
-    out = bytearray(len(pairing))
-    done = [False] * len(pairing)
-    used = [False] * S  # glue positions
-
-    def trace(layer, x):
-        # 0 = frame, 1 = diagram; returns the final label in the new frame
-        while True:
-            if layer == 0:
-                y = pairing[x]
-                if y < nbot:
-                    return y
-                j = nbot + S - 1 - y
-                used[j] = True
-                layer, x = 1, 2 * S - 1 - j
-            else:
-                y = diagram[x]
-                if y < S:
-                    return nbot + S - 1 - y  # north position y -> top label
-                j = 2 * S - 1 - y
-                used[j] = True
-                layer, x = 0, nbot + S - 1 - j
-
-    for b in range(nbot):
-        if done[b]:
-            continue
-        lab = trace(0, b)
-        out[b], out[lab] = lab, b
-        done[b] = done[lab] = True
-    for v in range(S):  # remaining outer points: diagram north
-        lab = nbot + S - 1 - v
-        if done[lab]:
-            continue
-        other = trace(1, v)
-        out[lab], out[other] = other, lab
-        done[lab] = done[other] = True
-    loops = 0
-    for j in range(S):
-        if used[j]:
-            continue
-        loops += 1
-        used[j] = True
-        layer, x = 1, 2 * S - 1 - j
-        while True:
-            if layer == 1:
-                jj = 2 * S - 1 - diagram[x]   # diagram south on a loop
-                nxt = (0, nbot + S - 1 - jj)
-            else:
-                jj = nbot + S - 1 - pairing[x]  # frame top on a loop
-                nxt = (1, 2 * S - 1 - jj)
-            if jj == j:
-                break
-            used[jj] = True
-            layer, x = nxt
-    return ((bytes(out), nbot), loops)
+    """Put an (S x S) diagram on top of the frame's S top points, frame top
+    position j on the diagram's southern position j.  Returns (frame, loops)."""
+    pairing, n = frame
+    if len(diagram) != 2 * (len(pairing) - n):
+        raise ValueError("diagram size must match the frame's top")
+    box = embed_pairing(star_pairing(diagram), 2 * n - len(pairing), 0)
+    d, loops = _context(n).splice(pad(frame), box)
+    return (d[:len(pairing)], n), loops
 
 
 def frame_has_top_arc(frame) -> bool:
@@ -815,110 +782,21 @@ def sandwich(f1, f2):
     top points; both frames must have equal bottom and top counts.
     Returns (pairing, loops) of the resulting (n x n) diagram, where f1's
     bottoms become the northern points."""
-    p1, n1 = f1
-    p2, n2 = f2
-    assert n1 == n2 and len(p1) == len(p2)
-    n = n1
-    S = len(p1) - n
-    out = bytearray(2 * n)
-    done = [False] * (2 * n)
-    used = [False] * S  # glue at top positions
-
-    def trace(layer, x):
-        # layer 0 = inside f1, 1 = inside f2; glue joins equal top labels
-        while True:
-            pr = p1 if layer == 0 else p2
-            y = pr[x]
-            if y < n:
-                return y if layer == 0 else 2 * n - 1 - y
-            used[n + S - 1 - y] = True
-            layer, x = 1 - layer, y
-
-    for a in range(n):  # f1 bottoms = northern points
-        if done[a]:
-            continue
-        b = trace(0, a)
-        out[a], out[b] = b, a
-        done[a] = done[b] = True
-    for bb in range(n):  # f2 bottoms = southern points
-        lab = 2 * n - 1 - bb
-        if done[lab]:
-            continue
-        b = trace(1, bb)
-        out[lab], out[b] = b, lab
-        done[lab] = done[b] = True
-    loops = 0
-    for pos in range(S):
-        if used[pos]:
-            continue
-        loops += 1
-        used[pos] = True
-        layer, x = 0, n + S - 1 - pos
-        while True:
-            pr = p1 if layer == 0 else p2
-            y = pr[x]
-            v = n + S - 1 - y  # next glue position (y >= n on a loop)
-            if v == pos:
-                break
-            used[v] = True
-            layer, x = 1 - layer, y
-    return bytes(out), loops
+    (p1, n), (p2, n2) = f1, f2
+    if n != n2 or len(p1) != len(p2):
+        raise ValueError("frames must have equal bottom and top counts")
+    d, loops = _context(n).splice(pad(f1), star_pairing(pad(f2)))
+    return d, loops - (n - len(p1) // 2)
 
 
 def stack_under(frame, diagram: bytes):
     """Concatenate a frame on top of an (n x n) diagram (frame bottoms glue
     to the diagram's northern points).  Returns (frame, loops)."""
-    pairing, nbot = frame
-    n = nbot
-    assert len(diagram) == 2 * n
-    S = len(pairing) - n
-    out = bytearray(len(pairing))
-    done = [False] * len(pairing)
-    used = [False] * n
-
-    def trace(layer, x):
-        # layer 0 = frame, 1 = diagram; exits at frame top or diagram south
-        while True:
-            if layer == 0:
-                y = pairing[x]
-                if y >= n:
-                    return y  # top labels agree in the result
-                used[y] = True
-                layer, x = 1, y
-            else:
-                y = diagram[x]
-                if y >= n:
-                    return 2 * n - 1 - y  # south position = new bottom point
-                used[y] = True
-                layer, x = 0, y
-
-    for a in range(n, 2 * n):  # diagram southern labels
-        lab = 2 * n - 1 - a
-        if done[lab]:
-            continue
-        other = trace(1, a)
-        out[lab], out[other] = other, lab
-        done[lab] = done[other] = True
-    for x in range(n, n + S):  # frame top labels
-        if done[x]:
-            continue
-        other = trace(0, x)
-        out[x], out[other] = other, x
-        done[x] = done[other] = True
-    loops = 0
-    for j in range(n):
-        if used[j]:
-            continue
-        loops += 1
-        used[j] = True
-        layer, x = 0, j
-        while True:
-            y = pairing[x] if layer == 0 else diagram[x]
-            if y == j:
-                break
-            used[y] = True
-            layer, x = 1 - layer, y
-    return ((bytes(out), n), loops)
+    pairing, n = frame
+    if len(diagram) != 2 * n:
+        raise ValueError("diagram must have one strand per frame bottom")
+    d, loops = _context(n).splice(star_pairing(diagram), pad(frame))
+    return (d[:len(pairing)], n), loops
 
 
 # ---------------------------------------------------------------------------
@@ -974,30 +852,32 @@ class CellVector:
         return f"CellVector({self.shape}: {body or '0'})"
 
 
+def cell_coords(terms: dict, shape) -> dict:
+    """Read padded frames of a shape as cell-module coordinates (tableau ->
+    coefficient).  A frame with a top arc lies in a more dominant cell and
+    is zero here."""
+    l1, l2 = shape
+    out = {}
+    for d, c in terms.items():
+        fr = (d[:2 * l1], l1 + l2)
+        if not frame_has_top_arc(fr):
+            out[frame_to_tableau(fr)] = c
+    return out
+
+
 def cell_action(v: CellVector, a: TLElement) -> CellVector:
-    """Right action of an element on a cell-module vector.  Concatenating a
-    half diagram on top of a diagram can join two through strands into a
-    top arc; such terms land in a more dominant cell and are zero here."""
+    """Right action of an element on a cell-module vector: the product
+    a* (sum of c_t pad(half_diagram(t))), read back with cell_coords.
+    Concatenating a half diagram on top of a diagram can join two through
+    strands into a top arc; such terms are dropped."""
     l1, l2 = v.shape
     if l1 + l2 != a.n:
         raise ValueError("strand count mismatch")
     if a.ring == "Fp":
         raise ValueError("cell modules are implemented over Q")
-    out = {}
-    for t, c in v.coords.items():
-        ht = half_diagram(t)
-        for d, cd in a.terms.items():
-            fr, loops = stack_under(ht, d)
-            if frame_has_top_arc(fr):
-                continue
-            u = frame_to_tableau(fr)
-            coeff = c * cd * (1 << loops)
-            new = out.get(u, Fraction(0)) + coeff
-            if new:
-                out[u] = new
-            else:
-                out.pop(u, None)
-    return CellVector(v.shape, out)
+    halves = {pad(half_diagram(t)): c for t, c in v.coords.items()}
+    glued = _product(a.star().terms, halves, _context(a.n).splice)
+    return CellVector(v.shape, cell_coords(glued, v.shape))
 
 
 def cell_matrix(a: TLElement, shape) -> dict:

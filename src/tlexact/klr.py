@@ -862,19 +862,6 @@ def operator_to_element(X: SeminormalOperator) -> TLElement:
     return out
 
 
-def element_to_operator(a: TLElement, p: int, side: str = "left") -> SeminormalOperator:
-    """Left (or right) multiplication by an element expressed in the
-    f-basis action model, via its factorization into generator words."""
-    words = diagram_words(a.n)
-    out = op_zero(a.n, p, side)
-    one = op_identity(a.n, p, side)
-    for d, c in a.terms.items():
-        w = words[d]
-        op = op_word_product([act_u(i, a.n, p, side) for i in w]) if w else one
-        out = out + op.scale(c)
-    return out
-
-
 def _express_in_seminormal_basis(img, fvecs, tabs_asc):
     """Solve img = sum c_t f_t in a cell module by forward substitution:
     f_t has unit coefficient on C_t and support only on tableaux above t

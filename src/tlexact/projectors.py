@@ -38,22 +38,14 @@ from functools import lru_cache
 from .coeffs import check_odd_prime, is_p_integral
 from . import tableaux
 from .tableaux import Tableau
-from .diagrams import (
-    CellVector,
-    TLElement,
-    frame_bend,
-    frame_empty,
-    frame_extend,
-    frame_has_top_arc,
-    frame_stack,
-    frame_to_tableau,
-    sandwich,
-)
+from .diagrams import CellVector, TLElement, cell_coords, frame_product
 
 
 class IntegralityViolationError(ArithmeticError):
-    """A class idempotent produced a coefficient with p in the denominator;
-    by the general theory this never happens, so it signals a bug."""
+    """An element asked for over Z_(p) or F_p has a coefficient with p in
+    its denominator.  For the class idempotents and the p-Jones-Wenzl
+    idempotent the general theory rules this out, so there it signals a
+    bug; a single seminormal idempotent need not be p-integral."""
 
 
 class JWCache:
@@ -78,8 +70,7 @@ class JWCache:
     def _compute(self, n: int) -> TLElement:
         if n <= 1:
             return TLElement.one(n)
-        prev = self.get(n - 1)
-        e = _add_strand(prev)
+        e = self.get(n - 1).embed(0, 1)
         u = TLElement.generator(n - 1, n)
         return e - (e * u * e).scale(Fraction(n - 1, n))
 
@@ -101,22 +92,6 @@ _default_cache = JWCache()
 
 def default_cache() -> JWCache:
     return _default_cache
-
-
-def _add_strand(e: TLElement) -> TLElement:
-    """Embed TL_(n-1) into TL_n by a through strand on the right."""
-    n = e.n + 1
-    out = TLElement.zero(n)
-    for d, c in e.terms.items():
-        new = bytearray(2 * n)
-        for x, y in enumerate(d):
-            a = x if x < n - 1 else x + 2
-            b = y if y < n - 1 else y + 2
-            new[a] = b
-            new[b] = a
-        new[n - 1], new[n] = n, n - 1
-        out.terms[bytes(new)] = c
-    return out
 
 
 def jones_wenzl(n: int, cache: JWCache | None = None) -> TLElement:
@@ -173,42 +148,39 @@ def gamma(t: Tableau) -> Fraction:
     return out
 
 
-def _frame_expansion(t: Tableau, cache: JWCache | None = None) -> dict:
+def _frame_expansion(t: Tableau, cache: JWCache | None = None) -> TLElement:
     """Expand the nested-projector picture of f_t as a combination of
-    frames (planar matchings of n bottom and l1-l2 top points, top arcs
+    padded frames in TL_n (n bottom and l1-l2 top points, top arcs
     included: those terms vanish in the cell module but contribute to the
-    idempotent sandwich)."""
+    idempotent).  Each stage is one product with the reflected JW box on
+    the rightmost strands."""
     cache = cache or _default_cache
     bd = tableaux.block_decomposition(t)
-    state = {frame_empty(): Fraction(1)}
+    f = TLElement.one(0)
     for (d, m), nv in zip(bd.runs, bd.n_values):
-        state = {frame_extend(fr, d): c for fr, c in state.items()}
-        jw = cache.get(nv)
-        new = {}
-        for fr, c in state.items():
-            for diag, cd in jw.terms.items():
-                fr2, loops = frame_stack(fr, diag)
-                coeff = c * cd * (1 << loops)
-                cur = new.get(fr2)
-                cur = coeff if cur is None else cur + coeff
-                if cur:
-                    new[fr2] = cur
-                else:
-                    new.pop(fr2, None)
-        state = {frame_bend(fr, m): c for fr, c in new.items()}
-    return state
+        f = f.embed(0, d)
+        f = frame_product(f, cache.get(nv).star().embed(f.n - nv, 0))
+        # bend the m rightmost tops down: m more padding cups
+        cups = bytes(x ^ 1 for x in range(2 * f.n, 2 * (f.n + m)))
+        bent = TLElement.zero(f.n + m)
+        bent.terms = {fr + cups: c for fr, c in f.terms.items()}
+        f = bent
+    return f
 
 
 def seminormal_vector(t: Tableau, cache: JWCache | None = None) -> CellVector:
     """f_t as an element of the cell module of shape(t): the frame
     expansion with higher-cell terms (top arcs) dropped."""
-    coords = {}
-    for fr, c in _frame_expansion(t, cache).items():
-        if frame_has_top_arc(fr):
-            continue
-        u = frame_to_tableau(fr)
-        coords[u] = coords.get(u, Fraction(0)) + c
-    return CellVector(tableaux.shape_of(t), coords)
+    shape = tableaux.shape_of(t)
+    return CellVector(shape, cell_coords(_frame_expansion(t, cache).terms, shape))
+
+
+def _sandwich(t: Tableau) -> TLElement:
+    """E'_t = F F* / (gamma_t 2^l2) for the frame expansion F: the l2
+    padding cups of F meet those of F* in l2 loops worth 2 each."""
+    f = _frame_expansion(t)
+    l2 = tableaux.shape_of(t)[1]
+    return frame_product(f, f.star()).scale(1 / (gamma(t) * 2 ** l2))
 
 
 @lru_cache(maxsize=None)
@@ -218,29 +190,14 @@ def _seminormal_idempotent_cached(t: Tableau) -> TLElement:
         # one-column tableau: f_t is a bare JW box and JW absorption gives
         # E'_t = JW_n * JW_n = JW_n  (gamma = 1)
         return jones_wenzl(len(t))
-    frames = _frame_expansion(t)
-    n = len(t)
-    out = TLElement.zero(n)
-    items = list(frames.items())
-    for f1, c1 in items:
-        for f2, c2 in items:
-            d, loops = sandwich(f1, f2)
-            out._iadd_term(d, c1 * c2 * (1 << loops))
-    return out.scale(1 / gamma(t))
+    return _sandwich(t)
 
 
 def seminormal_idempotent(t: Tableau, use_absorption: bool = True) -> TLElement:
     """E'_t = (1/gamma_t) f_t* f_t as an element of TL_n over Q."""
     if use_absorption:
         return _seminormal_idempotent_cached(tuple(t))
-    frames = _frame_expansion(tuple(t))
-    out = TLElement.zero(len(t))
-    items = list(frames.items())
-    for f1, c1 in items:
-        for f2, c2 in items:
-            d, loops = sandwich(f1, f2)
-            out._iadd_term(d, c1 * c2 * (1 << loops))
-    return out.scale(1 / gamma(t))
+    return _sandwich(tuple(t))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +245,22 @@ def idempotent_by_products(t: Tableau, n: int | None = None) -> TLElement:
 # class idempotents and the direct p-Jones-Wenzl construction
 
 
+def convert_ring(e: TLElement, ring: str, p: int) -> TLElement:
+    """e (over Q) over ring "Q", "Zp" or "Fp", after checking that every
+    coefficient is integral at p; raises IntegralityViolationError."""
+    for c in e.terms.values():
+        if not is_p_integral(c, p):
+            raise IntegralityViolationError(
+                f"coefficient {c} is not integral at {p}")
+    if ring == "Q":
+        return e
+    if ring == "Zp":
+        return e.to_Zp(p)
+    if ring == "Fp":
+        return e.reduce_mod_p(p)
+    raise ValueError(f"unknown ring {ring!r}")
+
+
 def class_idempotent(cls, p: int, ring: str = "Q") -> TLElement:
     """Sum of E'_s over a p-class, over Q; every coefficient is checked to
     be p-integral (localized at p), and with ring="Fp" the reduction mod p
@@ -301,17 +274,7 @@ def class_idempotent(cls, p: int, ring: str = "Q") -> TLElement:
     out = TLElement.zero(n)
     for s in cls:
         out = out + seminormal_idempotent(s)
-    for d, c in out.terms.items():
-        if not is_p_integral(c, p):
-            raise IntegralityViolationError(
-                f"coefficient {c} of a class idempotent is not integral at {p}")
-    if ring == "Q":
-        return out
-    if ring == "Zp":
-        return out.to_Zp(p)
-    if ring == "Fp":
-        return out.reduce_mod_p(p)
-    raise ValueError(f"unknown ring {ring!r}")
+    return convert_ring(out, ring, p)
 
 
 def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
@@ -322,15 +285,4 @@ def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
     out = TLElement.zero(n)
     for m in sorted(tableaux.index_set(n, p)):
         out = out + seminormal_idempotent(tableaux.tableau_from_index(m, n, p))
-    for d, c in out.terms.items():
-        if not is_p_integral(c, p):
-            raise IntegralityViolationError(
-                f"coefficient {c} of the p-Jones-Wenzl idempotent is not "
-                f"integral at {p}")
-    if ring == "Q":
-        return out
-    if ring == "Zp":
-        return out.to_Zp(p)
-    if ring == "Fp":
-        return out.reduce_mod_p(p)
-    raise ValueError(f"unknown ring {ring!r}")
+    return convert_ring(out, ring, p)

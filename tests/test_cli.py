@@ -52,6 +52,15 @@ def test_idempotent(capsys):
     assert out.strip() == "1/6 u1 + 2/3 u2 - 1/3 u1 u2 - 1/3 u2 u1"
 
 
+def test_idempotent_integrality_violation(capsys):
+    # a lone E'_t need not be p-integral
+    for ring in ("Fp", "Zp"):
+        code, out, err = run(capsys, "idempotent", "--tableau",
+                             "1,1,1,2,1,2,1,2", "--ring", ring, "--p", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("integrality violation: ")
+
+
 def test_classes(capsys):
     code, out, _ = run(capsys, "classes", "--n", "3", "--p", "3", "--json")
     assert code == 0
@@ -96,6 +105,9 @@ def test_usage_errors(capsys):
     code, _, _ = run(capsys, "idempotent", "--tableau", "2,1")
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
+    assert code == 2
+    # a flag the subcommand does not read
+    code, _, _ = run(capsys, "jw", "--n", "3", "--tableau", "1,2")
     assert code == 2
 
 

@@ -36,8 +36,9 @@ def test_multiply_matchings_examples():
 
 
 def test_grouped_compose_matches_reference():
+    # n = 8, 9 run the kernel without the pair memo
     rng = random.Random(7)
-    for n in range(0, 8):
+    for n in range(0, 10):
         ds = D.all_matchings(n)
         ctx = D._context(n)
         for _ in range(min(len(ds) ** 2, 1500)):
@@ -109,6 +110,41 @@ def test_half_diagram_round_trip():
     for n in range(9):
         for t in T.all_standard_tableaux(n):
             assert D.frame_to_tableau(D.half_diagram(t)) == t
+
+
+def test_embed_is_a_homomorphism():
+    rng = random.Random(9)
+    ds = D.all_matchings(3)
+    for left, right in ((0, 1), (0, 2), (2, 0), (1, 2)):
+        assert D.embed_pairing(D.identity_pairing(3), left, right) \
+            == D.identity_pairing(left + 3 + right)
+        for _ in range(10):
+            a = TLElement(3, {rng.choice(ds): 1, rng.choice(ds): Fraction(-1, 2)})
+            b = TLElement(3, {rng.choice(ds): 3})
+            assert (a * b).embed(left, right) \
+                == a.embed(left, right) * b.embed(left, right)
+    assert TLElement.generator(1, 2).embed(1, 2) == TLElement.generator(2, 5)
+
+
+def test_frame_gluings():
+    h3, h4 = D.half_diagram((1, 1, 2)), D.half_diagram((1, 1, 1, 1))
+    assert D.stack_under(h3, D.generator_pairing(1, 3)) \
+        == ((bytes([1, 0, 3, 2]), 3), 0)
+    assert D.stack_under(h3, D.generator_pairing(2, 3)) == (h3, 1)
+    assert D.frame_stack(h4, D.generator_pairing(2, 4)) \
+        == ((bytes([7, 2, 1, 4, 3, 6, 5, 0]), 4), 0)
+    assert D.sandwich(D.half_diagram((1, 1, 2, 2)), D.half_diagram((1, 2, 1, 2))) \
+        == (bytes([3, 2, 1, 0, 5, 4, 7, 6]), 0)
+    assert D.sandwich(h3, h3) == (bytes([5, 2, 1, 4, 3, 0]), 0)
+    # size mismatches raise, also under python -O
+    with pytest.raises(ValueError):
+        D.frame_stack(h4, D.generator_pairing(1, 3))
+    with pytest.raises(ValueError):
+        D.stack_under(h3, D.generator_pairing(1, 4))
+    with pytest.raises(ValueError):
+        D.sandwich(h3, h4)
+    with pytest.raises(ValueError):
+        D.sandwich(h4, D.half_diagram((1, 1, 2, 2)))
 
 
 def test_cell_action_examples():

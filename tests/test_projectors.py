@@ -7,7 +7,6 @@ from tlexact import tableaux as T
 from tlexact import diagrams as D
 from tlexact import projectors as P
 from tlexact.diagrams import TLElement
-from tlexact.projectors import _add_strand
 
 
 def test_jones_wenzl_small_expansions():
@@ -52,7 +51,7 @@ def test_absorption():
         for m in range(1, n):
             e = P.jones_wenzl(m)
             for _ in range(n - m):
-                e = _add_strand(e)
+                e = e.embed(0, 1)
             assert e * jw == jw
 
 
