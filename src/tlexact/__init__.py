@@ -12,6 +12,7 @@ chain.
 
 from .coeffs import (
     InvalidPrimeError,
+    InvariantError,
     PrimeFieldScalar,
     ReductionUndefinedError,
     is_p_integral,
@@ -51,6 +52,7 @@ __all__ = [
     "CellVector",
     "InvalidPrimeError",
     "IntegralityViolationError",
+    "InvariantError",
     "JWCache",
     "PrimeFieldScalar",
     "ReductionUndefinedError",

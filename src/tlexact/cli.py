@@ -36,6 +36,8 @@ from . import klr
 # element-level up to this size; beyond it the comparison runs in f-basis
 # coordinates unless --slow-expand forces the expansion
 _EXPAND_LIMIT = 9
+# the KLR relation suite spans the whole f-basis: about 7 s at n = 10
+_KLR_LIMIT = 10
 
 
 class UsageError(Exception):
@@ -224,9 +226,9 @@ def _cmd_diamond_check(args):
 
 def _cmd_klr_check(args):
     _require(args, "n", "p")
-    if args.n > 7:
+    if args.n > _KLR_LIMIT:
         raise UsageError("the KLR relation suite is exhaustive over the "
-                         "f-basis and is kept to n <= 7")
+                         f"f-basis and is kept to n <= {_KLR_LIMIT}")
     return 0 if _emit_reports(klr.klr_relations_check(args.n, args.p),
                               args.json) else 1
 
@@ -235,7 +237,7 @@ def _cmd_verify_all(args):
     _require(args, "n", "p")
     n, p = args.n, args.p
     reports = []
-    if n <= 7:
+    if n <= _KLR_LIMIT:
         reports.extend(klr.klr_relations_check(n, p))
     if n >= 3 * p - 1:
         reports.extend(klr.diamond_formula_check(n, p))

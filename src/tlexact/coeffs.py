@@ -21,6 +21,10 @@ class ReductionUndefinedError(ValueError):
     """Reduction mod p of a rational whose reduced denominator p divides."""
 
 
+class InvariantError(ValueError):
+    """An identity that the construction guarantees failed to hold."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all inputs below 3.3 * 10^24."""
     if n < 2:

@@ -20,10 +20,11 @@ right operator.  Operator identities are decided by evaluation on all basis
 indices, with exact rational coefficients throughout.
 
 On top of the generator actions the module builds the diamond operators
-(idempotent-truncated block swaps), the induced inclusion of a smaller
-Temperley-Lieb algebra sending u_i to the i-th diamond, the cabling
-inclusion, the small-algebra Jucys-Murphy operators, and the recursive
-construction of the p-Jones-Wenzl idempotent along the base-p radix chain.
+(idempotent-truncated block swaps, computed on the one-column p-class
+alone), the induced inclusion of a smaller Temperley-Lieb algebra sending
+u_i to the i-th diamond, the cabling inclusion, the small-algebra
+Jucys-Murphy operators, and the recursive construction of the
+p-Jones-Wenzl idempotent along the base-p radix chain.
 Relation checkers certify the whole calculus numerically: the full KLR
 relation suite, the closed diamond action formulas, and the final
 recursive = direct comparison.
@@ -34,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import check_odd_prime, is_p_integral
+from .coeffs import InvariantError, check_odd_prime, is_p_integral
 from . import tableaux
 from .tableaux import Tableau
 from .diagrams import (
@@ -60,7 +61,8 @@ class SeminormalOperator:
     __slots__ = ("n", "p", "side", "action")
 
     def __init__(self, n, p, side, action):
-        assert side in ("left", "right")
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         self.n = n
         self.p = p
         self.side = side
@@ -257,11 +259,12 @@ def act_e(iseq, n: int, p: int, side: str = "left") -> SeminormalOperator:
     return SeminormalOperator(n, p, side, {
         s: {s: Fraction(1)}
         for s in tableaux.all_standard_tableaux(n)
-        if tableaux.residue_sequence(s, p) == iseq})
+        if tableaux._residues(s, p) == iseq})
 
 
 def achievable_residue_sequences(n: int, p: int) -> tuple:
-    return tuple(sorted({tableaux.residue_sequence(s, p)
+    check_odd_prime(p)
+    return tuple(sorted({tableaux._residues(s, p)
                          for s in tableaux.all_standard_tableaux(n)}))
 
 
@@ -300,14 +303,15 @@ def psi_coefficients(s: Tableau, k: int, p: int, side: str = "left") -> dict:
     """The image of the acted-side index s under psi_k as a sparse vector:
     the beta (left) or beta-tilde (right) coefficient on s*s_k, plus the
     -1/r diagonal term when the residues at k, k+1 agree."""
+    check_odd_prime(p)
     return _psi_images(tuple(s), k, p, side)
 
 
 def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
-    res = tableaux.residue_sequence(s, p)
-    ik, ik1 = res[k - 1], res[k]
+    """psi_coefficients for an odd prime p that the caller has checked."""
     cont = tableaux.contents(s)
     r = cont[k - 1] - cont[k]
+    ik, ik1 = cont[k - 1] % p, cont[k] % p
     t = tableaux.swap_adjacent(s, k)
     alpha = _alpha(s, k, t, r)
     out = {}
@@ -336,6 +340,7 @@ def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
 def act_psi(k: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     if not 1 <= k < n:
         raise IndexError(f"index {k} out of range")
+    check_odd_prime(p)
     return SeminormalOperator.from_rule(
         n, p, side, lambda s: _psi_images(s, k, p, side))
 
@@ -379,8 +384,8 @@ def _report(check, n, p, ok, counterexample=None):
 def klr_relations_check(n: int, p: int) -> list:
     """Verify every defining relation of the integral KLR presentation as
     an exact operator identity on the full f-basis (left action on row
-    indices and right action on column indices).  The target range is
-    n <= 6; the cost grows with the square of the basis size.
+    indices and right action on column indices).  Every operator spans all
+    C(n, n/2) tableaux; the cost grows with the square of that number.
 
     Returns a list of report dicts, one per relation family.
     """
@@ -553,8 +558,8 @@ def decreasing_residue_sequence(n: int, p: int) -> tuple:
 @lru_cache(maxsize=None)
 def truncation_idempotent(n: int, p: int, side: str = "left") -> SeminormalOperator:
     """e: the class idempotent of the one-column tableau, acting as the
-    projection onto indices with decreasing residue sequence."""
-    return act_e(decreasing_residue_sequence(n, p), n, p, side)
+    projection onto indices with decreasing residue sequence (the class)."""
+    return op_projection(tableaux.class_of_one_column(n, p), n, p, side)
 
 
 def n2_of(n: int, p: int) -> int:
@@ -567,13 +572,26 @@ def n2_of(n: int, p: int) -> int:
 @lru_cache(maxsize=None)
 def diamond(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     """The i-th diamond: e psi_(w1) ... psi_(wL) e over the block-swap
-    word, truncated by the class idempotent on both sides."""
+    word, truncated by the class idempotent on both sides.  Each member of
+    the one-column p-class is pushed sparsely through the word (the left
+    side applies its last letter first) and off-class terms are dropped at
+    the end, so the cost follows the class size, not C(n, n/2)."""
     n2 = n2_of(n, p)
     if not 1 <= i <= n2 - 1:
         raise IndexError(f"diamond index {i} out of range 1..{n2 - 1}")
-    e = truncation_idempotent(n, p, side)
-    ops = [e] + [act_psi(w, n, p, side) for w in block_swap_word(i, p)] + [e]
-    return op_word_product(ops)
+    cls = tableaux.class_of_one_column(n, p)
+    word = block_swap_word(i, p)
+    if side == "left":
+        word = word[::-1]
+    keep = set(cls)
+    action = {}
+    for s in cls:
+        vec = {s: Fraction(1)}
+        for k in word:
+            psi = {t: _psi_images(t, k, p, side) for t in vec}
+            vec = SeminormalOperator(n, p, side, psi).apply_vec(vec)
+        action[s] = {t: c for t, c in vec.items() if t in keep}
+    return SeminormalOperator(n, p, side, action)
 
 
 def x_factor(rho: int, p: int) -> Fraction:
@@ -597,7 +615,8 @@ def diamond_closed_form(s: Tableau, i: int, n: int, p: int, side: str) -> dict:
     if t is None:
         if fs[i - 1] == fs[i]:
             return {}  # blocks share a column
-        assert tableaux.same_row(fs, i)
+        if not tableaux.same_row(fs, i):
+            raise InvariantError(f"blocks {i}, {i + 1} of {s} share no row or column")
         return {s: Fraction(2)}
     if tableaux.dominance_compare(s, t) == "less":
         sd, su = s, t
@@ -823,10 +842,9 @@ def f_basis_element(s: Tableau, t: Tableau) -> TLElement:
         raise ValueError("tableaux of different shapes")
     n = len(s)
     d, loops = sandwich(half_diagram(s), half_diagram(t))
-    assert loops == 0
-    cst = TLElement(n, {d: 1})
-    out = seminormal_idempotent(s) * cst * seminormal_idempotent(t)
-    assert not out.is_zero()
+    out = seminormal_idempotent(s) * TLElement(n, {d: 1}) * seminormal_idempotent(t)
+    if loops or out.is_zero():
+        raise InvariantError(f"C_(s,t) closed a loop or f_(s,t) = 0: s={s}, t={t}")
     return out
 
 
@@ -834,15 +852,14 @@ def f_basis_element(s: Tableau, t: Tableau) -> TLElement:
 def f_norm(t: Tableau) -> Fraction:
     """The scalar with f_(t,t) = gamma'_t E'_t (equivalently f_(t,t)^2 =
     gamma'_t f_(t,t)); computed from exact proportionality of the two
-    expansions and asserted nonzero."""
+    expansions and checked nonzero."""
     t = tuple(t)
     ftt = f_basis_element(t, t)
     et = seminormal_idempotent(t)
-    assert set(ftt.terms) == set(et.terms)
-    ratios = {ftt.terms[d] / et.terms[d] for d in et.terms}
-    assert len(ratios) == 1
+    ratios = {ftt.terms.get(d, 0) / et.terms[d] for d in et.terms}
+    if set(ftt.terms) != set(et.terms) or len(ratios) != 1 or 0 in ratios:
+        raise InvariantError(f"f_(t,t) is not a nonzero multiple of E'_t, t={t}")
     (g,) = ratios
-    assert g != 0
     return g
 
 
@@ -880,7 +897,8 @@ def _express_in_seminormal_basis(img, fvecs, tabs_asc):
                 residual[u] = new
             else:
                 residual.pop(u, None)
-    assert not residual
+    if residual:
+        raise InvariantError("the image leaves the span of the seminormal vectors")
     return coords
 
 

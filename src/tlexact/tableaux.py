@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coeffs import check_odd_prime
+from .coeffs import InvariantError, check_odd_prime
 
 Tableau = tuple  # tuple of column indices 1/2
 
@@ -141,6 +141,11 @@ def contents(t: Tableau) -> tuple:
 
 def residue_sequence(t: Tableau, p: int) -> tuple:
     check_odd_prime(p)
+    return _residues(t, p)
+
+
+def _residues(t: Tableau, p: int) -> tuple:
+    """residue_sequence for callers that have already validated p."""
     return tuple(c % p for c in contents(t))
 
 
@@ -196,23 +201,37 @@ def same_row(t: Tableau, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _classes_by_residue(n: int, p: int) -> dict:
-    classes = {}
-    for t in all_standard_tableaux(n):
-        classes.setdefault(residue_sequence(t, p), []).append(t)
-    return {r: tuple(ts) for r, ts in classes.items()}
+def _class_with_residues(res: tuple, p: int) -> tuple:
+    """The ballot sequences with residue sequence res, lexicographically: a
+    prefix grows only by a column whose next content (-ones for a 1,
+    1 - twos for a 2) has the target residue."""
+    states = [((), 0, 0)]  # (prefix, number of 1s, number of 2s)
+    for r in res:
+        grown = []
+        for t, ones, twos in states:
+            if -ones % p == r:
+                grown.append((t + (1,), ones + 1, twos))
+            if twos < ones and (1 - twos) % p == r:
+                grown.append((t + (2,), ones, twos + 1))
+        states = grown
+    return tuple(t for t, _, _ in states)
 
 
 def p_class(t: Tableau, p: int) -> tuple:
     """All two-column standard tableaux with the same residue sequence as
-    t, sorted lexicographically.  Always contains t."""
-    return _classes_by_residue(len(t), p)[residue_sequence(t, p)]
+    t, sorted lexicographically.  Always contains t.  A residue-pruned
+    search; all_p_classes groups the whole basis instead."""
+    return _class_with_residues(residue_sequence(t, p), p)
 
 
 def all_p_classes(n: int, p: int) -> list:
     """Every p-class of two-column standard tableaux with n entries,
     ordered by their lexicographically smallest member."""
-    return sorted(_classes_by_residue(n, p).values())
+    check_odd_prime(p)
+    classes = {}
+    for t in all_standard_tableaux(n):
+        classes.setdefault(_residues(t, p), []).append(t)
+    return sorted(tuple(ts) for ts in classes.values())
 
 
 def class_of_one_column(n: int, p: int) -> tuple:
@@ -340,7 +359,8 @@ def tableau_from_index(m: int, n: int, p: int) -> Tableau:
     for j, c in enumerate(cards):
         out.extend([1 if j % 2 == 0 else 2] * c)
     t = tuple(out)
-    assert len(t) == n and is_standard(t)
+    if len(t) != n or not is_standard(t):
+        raise InvariantError(f"index {m} gave {t}, not a standard tableau of size {n}")
     return t
 
 
@@ -381,10 +401,10 @@ def radix_chain(n: int, p: int) -> RadixChain:
         n1 = cur - (p - 1)
         n2, r = divmod(n1, p)
         levels.append((cur, n1, n2, r))
-        assert r == digits[k - i]
         cur = n2
-    if k:
-        assert levels[-1][2] == digits[0] - 1
+    if [lv[3] for lv in levels] != [digits[k - i] for i in range(k)] \
+            or (k and cur != digits[0] - 1):
+        raise InvariantError(f"radix chain of n={n} disagrees with digits {digits}")
     return RadixChain(n, p, digits, tuple(levels))
 
 
@@ -395,21 +415,18 @@ def _class_blocks(t: Tableau, p: int):
     n = len(t)
     if n < p:
         raise ValueError("collapse needs n >= p")
-    if residue_sequence(t, p) != residue_sequence(one_column_tableau(n), p):
+    if _one_column_residues(n, p) != _residues(t, p):
         raise ValueError("tableau is not in the p-class of the one-column tableau")
-    n1 = n - (p - 1)
-    n2, r = divmod(n1, p)
-    cols = []
-    for b in range(n2):
-        block = t[p - 1 + b * p: p - 1 + (b + 1) * p]
-        assert len(set(block)) == 1
-        cols.append(block[0])
-    extra = None
-    if r:
-        block = t[n - r:]
-        assert len(set(block)) == 1
-        extra = block[0]
-    return cols, extra
+    n2, r = divmod(n - (p - 1), p)
+    blocks = [t[j: j + p] for j in range(p - 1, n - r, p)] + ([t[n - r:]] if r else [])
+    if any(len(set(block)) != 1 for block in blocks):
+        raise InvariantError(f"a block of the class member {t} spans both columns")
+    return [block[0] for block in blocks[:n2]], (blocks[n2][0] if r else None)
+
+
+@lru_cache(maxsize=None)
+def _one_column_residues(n: int, p: int) -> tuple:
+    return residue_sequence(one_column_tableau(n), p)
 
 
 def collapse(t: Tableau, p: int):
@@ -422,7 +439,8 @@ def collapse(t: Tableau, p: int):
     """
     cols, extra = _class_blocks(t, p)
     small = tuple(cols)
-    assert is_standard(small)
+    if not is_standard(small):
+        raise InvariantError(f"{t} collapses to the non-standard {small}")
     return small, extra
 
 

@@ -25,6 +25,9 @@ Criteria:
     set and the orthogonal-complement decomposition of the one-column
     class idempotent, over Q and reduced mod 3; under 30 min in seminormal
     coordinates.
+ 9. Recursive = direct p-Jones-Wenzl in seminormal coordinates past the
+    full basis, at (24,3), (30,5) and (56,7), where the diamonds are built
+    on the one-column class alone; under 60 s.
 """
 
 import time
@@ -269,3 +272,10 @@ def test_criterion_8_final_theorem():
                 got[t] = (got.get(t, 0) - c) % 3
             got = {t: c for t, c in got.items() if c}
             assert got == rm.get(s, {})
+
+
+def test_criterion_9_recursive_past_the_full_basis():
+    with criterion("criterion 9: recursive = direct at (24,3), (30,5), (56,7)", 60):
+        for (n, p) in [(24, 3), (30, 5), (56, 7)]:
+            assert K.p_jones_wenzl_recursive_operator(n, p) \
+                == K.direct_projection_operator(n, p), (n, p)

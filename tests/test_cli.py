@@ -109,6 +109,9 @@ def test_usage_errors(capsys):
     # a flag the subcommand does not read
     code, _, _ = run(capsys, "jw", "--n", "3", "--tableau", "1,2")
     assert code == 2
+    # the exhaustive KLR relation suite stops at n = 10
+    code, _, err = run(capsys, "klr-check", "--n", "11", "--p", "3")
+    assert code == 2 and "n <= 10" in err
 
 
 def test_deterministic_output(capsys):

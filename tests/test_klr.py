@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tlexact
 from tlexact import tableaux as T
 from tlexact import diagrams as D
 from tlexact import projectors as P
@@ -146,6 +150,51 @@ def test_diamond_range_guard():
         K.diamond(2, 8, 3)  # n2 = 2 allows only index 1
     with pytest.raises(ValueError):
         K.diamond_formula_check(6, 3)  # n2 = 1: no diamonds at all
+
+
+def test_class_local_diamond_matches_full_basis_word():
+    # the class-local push against the full-basis word e psi_(w1) ... e
+    cases = [(n, 3) for n in range(8, 13)] + [(14, 5)]
+    for (n, p) in cases:
+        for side in ("left", "right"):
+            E = K.act_e(K.decreasing_residue_sequence(n, p), n, p, side)
+            for i in range(1, K.n2_of(n, p)):
+                psis = [K.act_psi(w, n, p, side) for w in K.block_swap_word(i, p)]
+                assert K.diamond(i, n, p, side) \
+                    == K.op_word_product([E] + psis + [E]), (i, n, p, side)
+
+
+def test_truncation_idempotent_matches_act_e():
+    for p in (3, 5, 7):
+        for n in range(1, 13):
+            for side in ("left", "right"):
+                assert K.truncation_idempotent(n, p, side) \
+                    == K.act_e(K.decreasing_residue_sequence(n, p), n, p, side)
+
+
+def test_operator_side_is_checked():
+    with pytest.raises(ValueError):
+        K.SeminormalOperator(3, 3, "up", {})
+
+
+def test_invariants_raise_under_python_O():
+    # python -O strips assert statements; a failing invariant must still
+    # raise.  An image outside the span of the given seminormal vectors
+    # leaves a residual in the forward substitution.
+    code = ("from tlexact import klr, projectors\n"
+            "from tlexact.coeffs import InvariantError\n"
+            "img = projectors.seminormal_vector((1, 2))\n"
+            "try:\n"
+            "    klr._express_in_seminormal_basis(img, {}, [])\n"
+            "except InvariantError:\n"
+            "    print(__debug__, 'raised')\n")
+    src = os.path.dirname(os.path.dirname(tlexact.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "raised"]
 
 
 def test_distant_diamonds_commute_at_14():

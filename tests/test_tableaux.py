@@ -67,6 +67,17 @@ def test_residues_and_classes():
     assert T.p_class((1, 1, 2), 7) == ((1, 1, 2),)
 
 
+def test_p_class_matches_grouping_of_all_tableaux():
+    # the residue-pruned search against grouping the whole basis
+    for p in (3, 5, 7):
+        for n in range(1, 11):
+            classes = T.all_p_classes(n, p)
+            assert sum(map(len, classes)) == comb(n, n // 2)
+            for cls in classes:
+                for t in cls:
+                    assert T.p_class(t, p) == cls, (t, p)
+
+
 def test_block_decomposition_examples():
     bd = T.block_decomposition((1, 1, 2))
     assert bd.runs == ((2, 1),) and bd.n_values == (2,)
