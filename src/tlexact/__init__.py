@@ -20,6 +20,7 @@ from .coeffs import (
 )
 from .diagrams import CellVector, TLElement, catalan, cell_action, element_to_str
 from .projectors import (
+    CacheError,
     IntegralityViolationError,
     JWCache,
     class_idempotent,
@@ -51,6 +52,7 @@ from .klr import (
 __all__ = [
     "CellVector",
     "InvalidPrimeError",
+    "CacheError",
     "IntegralityViolationError",
     "InvariantError",
     "JWCache",

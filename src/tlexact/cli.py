@@ -12,7 +12,8 @@ Subcommands::
     verify-all     run every check that fits the given size
 
 Exit status: 0 on success, 1 when a verification fails (or a coefficient
-violates p-integrality), 2 on usage errors.  Output is deterministic;
+violates p-integrality), 2 on usage errors and on a Jones-Wenzl cache file
+that cannot be read or holds a wrong entry.  Output is deterministic;
 --json switches to the JSON schemas; progress for long computations goes
 to stderr only.  The Jones-Wenzl disk cache is taken from --cache, which
 the environment variable TL_CACHE overrides.
@@ -29,7 +30,7 @@ from .coeffs import InvalidPrimeError, check_odd_prime
 from . import tableaux
 from .diagrams import element_to_str
 from . import projectors
-from .projectors import IntegralityViolationError
+from .projectors import CacheError, IntegralityViolationError
 from . import klr
 
 # the full diagram expansion of the recursive construction is kept
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return 2
     except IntegralityViolationError as exc:
         print(f"integrality violation: {exc}", file=sys.stderr)

@@ -12,12 +12,22 @@ A matching is stored as a ``bytes`` string ``pairing`` of length 2n with
 pairing[pairing[x]] == x; byte strings hash fast and keep elements (sparse
 dicts diagram -> coefficient) cheap.  Products concatenate the left factor
 on top of the right one; every closed loop is removed against a factor of
-2 (the loop parameter).  Because planar through strands connect in order,
-the middle gluing of a product depends only on the southern cup pattern of
-the top factor and the northern cup pattern of the bottom factor; those
-gluings are memoized per strand count, which makes large element products
-(Jones-Wenzl squares and idempotent sandwiches) much faster than tracing
-every diagram pair.
+2 (the loop parameter).
+
+Products are factored through half diagrams.  A diagram is its cellular
+pair (north half, south half) of cup patterns, since planar through
+strands connect in order.  Gluing d1 over d2 depends on the middle only
+through d1's south half S1 and d2's north half N2: that gluing fixes the
+loops and which through strands of each factor are capped together.  So
+
+    a b = sum over (S1, N2) of 2^loops
+          (sum over N1 of a[N1, S1] cap_top(N1)) x (sum over S2 of b[N2, S2] cap_bot(S2)),
+
+and the product groups a by south half and b by north half, sums b's
+capped south halves per top-cap pattern, and emits one outer product per
+pattern.  Its inner work is at most 2|a||b| and far less on dense
+elements (Jones-Wenzl squares, idempotent sandwiches), where many pairs
+share their halves.
 
 Elements carry one of three coefficient rings: "Q" (Fraction), "Zp"
 (Fraction, checked p-integral), or "Fp" (integers mod p).
@@ -37,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .coeffs import format_rational, is_p_integral, parse_rational, check_odd_prime
+from .coeffs import InvariantError, format_rational, parse_rational, check_odd_prime
 from . import tableaux
 from .tableaux import Tableau
 
@@ -83,7 +93,7 @@ def generator_pairing(i: int, n: int) -> bytes:
 def is_noncrossing(pairing) -> bool:
     stack = []
     for x, y in enumerate(pairing):
-        if pairing[y] != x or y == x:
+        if y >= len(pairing) or pairing[y] != x or y == x:
             return False
         if y > x:
             stack.append(x)
@@ -195,170 +205,119 @@ def compose_pairings(top: bytes, bot: bytes, n: int):
     return bytes(out), loops
 
 
-class _MulContext:
-    """Per-strand-count multiplication tables.
+_FREE = 255  # a half-diagram position on a through strand
 
-    For a planar diagram the through strands connect their northern
-    endpoints to their southern endpoints in order, so the result of gluing
-    d1 over d2 is determined by (a) d1's southern cup pattern against d2's
-    northern cup pattern -- memoized as loops plus a pairing of through
-    slots -- and (b) the cup patterns d1 keeps on top and d2 keeps below,
-    wired through the slot pairing.
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _MulContext:
+    """Per-strand-count tables of the factored product.
+
+    A diagram is its cellular pair of halves (north, south): each half is a
+    cup pattern on n positions numbered left to right, as bytes holding the
+    partner position of a cup endpoint and _FREE on a through strand.  The
+    through strands join the _FREE positions of the two halves in order, so
+    the pair determines the diagram.  Gluing d1 over d2 depends on the
+    middle only through d1's south half and d2's north half: ``glue``
+    returns the loops closed there, the caps joining through strands of d1
+    (as pairs of their left-to-right indices) and those joining through
+    strands of d2.  The product is then the pair (cap(north1, top caps),
+    cap(south2, bottom caps)).  All four tables are memos, indexed
+    ``halves[d]``, ``glue[south][north]``, ``cap[caps][half]`` and
+    ``join[north][south]``.
     """
 
-    __slots__ = ("n", "meta", "glue_memo", "pair_memo", "compose")
+    __slots__ = ("n", "halves", "glue", "cap", "join")
 
     def __init__(self, n):
         self.n = n
-        self.meta = {}
-        self.glue_memo = {}
-        # full product memo; the diagram basis is small enough up to n = 7
-        self.pair_memo = {} if n <= 7 else None
-        # compose(d1, d2) -> (pairing, loops): splice, through the pair memo
-        # when there is one
-        self.compose = self.splice if self.pair_memo is None else self._memo_splice
+        self.halves = _Memo(self._halves)
+        self.glue = _Memo(lambda s: _Memo(lambda north: self._glue(s, north)))
+        self.cap = _Memo(lambda caps: _Memo(lambda half: _cap(half, caps)))
+        self.join = _Memo(lambda north: _Memo(lambda s: self._join(north, s)))
 
-    def diagram_meta(self, d: bytes):
-        """(south_key, north_key, north_slots, south_slots) for a diagram;
-        slots are the through endpoints, northern ones in increasing label
-        order and southern ones in decreasing label order (both = left to
-        right)."""
-        m = self.meta.get(d)
-        if m is None:
-            n = self.n
-            nslots = bytes(x for x in range(n) if d[x] >= n)
-            sslots = bytes(2 * n - 1 - j for j in range(n)
-                           if d[2 * n - 1 - j] < n)
-            skey = bytes(v for x in range(n, 2 * n) if x < d[x]
-                         for v in (x, d[x]))
-            nkey = bytes(v for x in range(n) if x < d[x] < n
-                         for v in (x, d[x]))
-            m = (skey, nkey, nslots, sslots)
-            self.meta[d] = m
-        return m
+    def _halves(self, d: bytes):
+        n, last = self.n, 2 * self.n - 1
+        north = bytes(y if y < n else _FREE for y in d[:n])
+        south = bytes(last - y if y >= n else _FREE for y in d[:n - 1:-1])
+        return north, south
 
-    def glue(self, skey: bytes, nkey: bytes):
-        """Glue a southern cup pattern (on labels n..2n-1) against a
-        northern cup pattern (labels 0..n-1) across the n middle points.
-        Returns (loops, slot interface): slots of the top factor are
-        numbered 0..k1-1 and of the bottom factor k1..k1+k2-1, and the
-        interface lists the induced pairing, each pair once."""
-        key = (skey, nkey)
-        hit = self.glue_memo.get(key)
-        if hit is not None:
-            return hit
-        n = self.n
-        last = 2 * n - 1
-        top_cup = {}
-        for t in range(0, len(skey), 2):
-            a, b = last - skey[t], last - skey[t + 1]  # as middle positions
-            top_cup[a] = b
-            top_cup[b] = a
-        bot_cup = {}
-        for t in range(0, len(nkey), 2):
-            a, b = nkey[t], nkey[t + 1]
-            bot_cup[a] = b
-            bot_cup[b] = a
-        top_slot = {}
-        idx = 0
-        for j in range(n):
-            if j not in top_cup:
-                top_slot[j] = idx
-                idx += 1
-        k1 = idx
-        bot_slot = {}
-        idx = 0
-        for j in range(n):
-            if j not in bot_cup:
-                bot_slot[j] = idx
-                idx += 1
-        # walk components of the union of the two cup patterns
-        interface = []
-        seen = [False] * n
-        for j0 in range(n):
-            if seen[j0] or (j0 in top_cup and j0 in bot_cup):
-                continue
-            if j0 in top_slot and j0 in bot_slot:
-                # isolated middle point: a genuine through strand
-                seen[j0] = True
-                interface.append((top_slot[j0], k1 + bot_slot[j0]))
-                continue
-            # start from a slot endpoint and follow cups alternately
-            if j0 in top_slot:
-                end0 = top_slot[j0]
-            elif j0 in bot_slot:
-                end0 = k1 + bot_slot[j0]
+    def _join(self, north: bytes, south: bytes) -> bytes:
+        last = 2 * self.n - 1
+        out = bytearray(north) + bytes(len(south))
+        tops = iter([x for x, y in enumerate(north) if y == _FREE])
+        for j, y in enumerate(south):
+            if y == _FREE:
+                x = next(tops)
+                out[x], out[last - j] = last - j, x
             else:
-                continue
-            # j0 is a slot on one side and a cup endpoint on the other
-            seen[j0] = True
-            j = j0
-            use_top = j0 not in top_slot  # which side's cup to follow next
-            while True:
-                j = top_cup[j] if use_top else bot_cup[j]
-                seen[j] = True
-                if use_top:
-                    if j in bot_cup:
-                        use_top = False
-                        continue
-                    end1 = k1 + bot_slot[j]
-                    break
-                else:
-                    if j in top_cup:
-                        use_top = True
-                        continue
-                    end1 = top_slot[j]
-                    break
-            interface.append(tuple(sorted((end0, end1))))
-        loops = 0
-        for j0 in range(n):
-            if seen[j0] or j0 not in top_cup or j0 not in bot_cup:
-                continue
-            loops += 1
-            j = j0
-            use_top = True
-            while True:
-                seen[j] = True
-                j = top_cup[j] if use_top else bot_cup[j]
-                use_top = not use_top
-                if j == j0 and use_top:
-                    break
-                seen[j] = True
-        result = (loops, tuple(sorted(set(interface))))
-        self.glue_memo[key] = result
-        return result
+                out[last - j] = last - y
+        return bytes(out)
 
-    def _memo_splice(self, d1: bytes, d2: bytes):
-        key = d1 + d2
-        hit = self.pair_memo.get(key)
-        if hit is None:
-            hit = self.pair_memo[key] = self.splice(d1, d2)
-        return hit
+    def _glue(self, s: bytes, north: bytes):
+        """(loops, top caps, bottom caps) of the n middle points, where s
+        is the top factor's south half and north the bottom factor's north
+        half; caps are flat bytes of slot index pairs."""
+        seen = bytearray(len(s))
+        caps = []
+        for side, cups in ((s, (north, s)), (north, (s, north))):
+            free = [j for j, y in enumerate(side) if y == _FREE]
+            slot = {j: i for i, j in enumerate(free)}
+            found = bytearray()
+            for j0 in free:
+                # walk from a slot through alternate cups, the other
+                # factor's first; after an odd number it ends on a slot of
+                # the same factor: a cap
+                j, k = j0, 0
+                seen[j] = 1
+                while cups[k & 1][j] != _FREE:
+                    j = cups[k & 1][j]
+                    seen[j] = 1
+                    k += 1
+                if k & 1 and j0 < j:
+                    found += bytes((slot[j0], slot[j]))
+            caps.append(bytes(found))
+        loops = 0
+        for j0, hit in enumerate(seen):
+            if not hit:
+                loops += 1
+                j = j0
+                while True:
+                    seen[j] = seen[s[j]] = 1
+                    j = north[s[j]]
+                    if j == j0:
+                        break
+        return loops, caps[0], caps[1]
 
     def splice(self, d1: bytes, d2: bytes):
-        """Glue d1 over d2; returns (pairing, loops).  Frame gluings call
-        this directly: each padded frame pair is glued once, so the pair
-        memo would only grow."""
-        n = self.n
-        skey, _, nslots1, _ = self.diagram_meta(d1)
-        _, nkey, _, sslots2 = self.diagram_meta(d2)
-        loops, interface = self.glue(skey, nkey)
-        out = bytearray(2 * n)
-        for x in range(n):
-            y = d1[x]
-            if y < n:
-                out[x] = y
-        for x in range(n, 2 * n):
-            y = d2[x]
-            if y >= n:
-                out[x] = y
-        k1 = len(nslots1)
-        for a, b in interface:
-            xa = nslots1[a] if a < k1 else sslots2[a - k1]
-            xb = nslots1[b] if b < k1 else sslots2[b - k1]
-            out[xa] = xb
-            out[xb] = xa
-        return bytes(out), loops
+        """Glue the single pair d1 over d2; returns (pairing, loops)."""
+        north1, s1 = self.halves[d1]
+        north2, s2 = self.halves[d2]
+        loops, top, bot = self.glue[s1][north2]
+        return self.join[self.cap[top][north1]][self.cap[bot][s2]], loops
+
+
+def _cap(half: bytes, caps: bytes) -> bytes:
+    """Join the through strands of a half with the given slot indices."""
+    if not caps:
+        return half
+    free = [j for j, y in enumerate(half) if y == _FREE]
+    out = bytearray(half)
+    for t in range(0, len(caps), 2):
+        x, y = free[caps[t]], free[caps[t + 1]]
+        out[x], out[y] = y, x
+    return bytes(out)
 
 
 _mul_contexts: dict = {}
@@ -372,34 +331,66 @@ def _context(n: int) -> _MulContext:
     return ctx
 
 
-def _product(a: dict, b: dict, compose, p=None) -> dict:
-    """The terms of the product of two term dicts: every pair glued by
-    compose(d1, d2) -> (pairing, loops), weighted by 2^loops.  Over F_p
-    (p given) the sums are reduced at the end; over Q denominators are
-    cleared first, so the inner loop multiplies plain integers and each
-    output diagram gets one Fraction."""
+def _factored(a: dict, b: dict, ctx: _MulContext) -> dict:
+    """The product of two term dicts with integer coefficients, factored
+    through halves (see the module docstring): a is grouped by south half
+    and b by north half; per south half of a, b's capped south halves are
+    summed per top-cap pattern, then multiplied out against a's capped
+    north halves."""
+    halves, glue, cap, join = ctx.halves, ctx.glue, ctx.cap, ctx.join
+    rows = {}
+    for d, c in a.items():
+        north, s = halves[d]
+        rows.setdefault(s, []).append((north, c))
+    cols = {}
+    for d, c in b.items():
+        north, s = halves[d]
+        cols.setdefault(north, []).append((s, c))
+    capped = {}  # (north2, bottom caps) -> b's capped south halves
     acc = {}
     get = acc.get
+    for s1, row in rows.items():
+        ys = {}
+        glue_s1 = glue[s1]
+        for north2, col in cols.items():
+            loops, top, bot = glue_s1[north2]
+            key = (north2, bot)
+            col2 = capped.get(key)
+            if col2 is None:
+                cap_bot = cap[bot]
+                col2 = capped[key] = [(cap_bot[s2], c2) for s2, c2 in col]
+            y = ys.setdefault(top, {})
+            yget = y.get
+            for s2, c2 in col2:
+                y[s2] = yget(s2, 0) + (c2 << loops)
+        for top, y in ys.items():
+            cap_top = cap[top]
+            xs = {}
+            for north1, c1 in row:
+                north1 = cap_top[north1]
+                xs[north1] = xs.get(north1, 0) + c1
+            for north1, c1 in xs.items():
+                join_row = join[north1]
+                for s2, c2 in y.items():
+                    d = join_row[s2]
+                    acc[d] = get(d, 0) + c1 * c2
+    return acc
+
+
+def _product(a: dict, b: dict, n: int, p=None) -> dict:
+    """The terms of the product of two TL_n term dicts.  Over F_p (p given)
+    the sums are reduced at the end; over Q denominators are cleared first,
+    so the kernel multiplies plain integers and each output diagram gets
+    one Fraction."""
+    ctx = _context(n)
     if p is not None:
-        for d1, c1 in a.items():
-            for d2, c2 in b.items():
-                d3, loops = compose(d1, d2)
-                c = c1 * c2 * (1 << loops)
-                cur = get(d3)
-                acc[d3] = c if cur is None else cur + c
-        return {d: c % p for d, c in acc.items() if c % p}
+        return {d: c % p for d, c in _factored(a, b, ctx).items() if c % p}
     da = _lcm_denominators(a)
     db = _lcm_denominators(b)
     a = {d: int(c * da) for d, c in a.items()}
     b = {d: int(c * db) for d, c in b.items()}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d3, loops = compose(d1, d2)
-            c = c1 * c2 << loops
-            cur = get(d3)
-            acc[d3] = c if cur is None else cur + c
     den = da * db
-    return {d: Fraction(c, den) for d, c in acc.items() if c}
+    return {d: Fraction(c, den) for d, c in _factored(a, b, ctx).items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +442,7 @@ class TLElement:
                 return c.numerator * pow(c.denominator, -1, self.p) % self.p
             return int(c) % self.p
         c = Fraction(c)
-        if self.ring == "Zp" and not is_p_integral(c, self.p):
+        if self.ring == "Zp" and c.denominator % self.p == 0:
             raise ValueError(f"coefficient {c} is not integral at p={self.p}")
         return c
 
@@ -479,19 +470,27 @@ class TLElement:
 
     # -- ring operations
 
-    def __add__(self, other):
+    def _accumulate(self, other, c):
+        """self.terms += c * other.terms in place; c is already coerced."""
         self._check_compatible(other)
-        out = TLElement(self.n, self.terms, self.ring, self.p)
-        for d, c in other.terms.items():
-            out._iadd_term(d, c)
-        return out
+        p = self.p if self.ring == "Fp" else None
+        terms = self.terms
+        get = terms.get
+        for d, v in other.terms.items():
+            new = get(d, 0) + c * v
+            if p is not None:
+                new %= p
+            if new:
+                terms[d] = new
+            else:
+                terms.pop(d, None)
+        return self
+
+    def __add__(self, other):
+        return self._raw(dict(self.terms))._accumulate(other, 1)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        out = TLElement(self.n, self.terms, self.ring, self.p)
-        for d, c in other.terms.items():
-            out._iadd_term(d, -c)
-        return out
+        return self._raw(dict(self.terms))._accumulate(other, -1)
 
     def scale(self, c):
         out = TLElement.zero(self.n, self.ring, self.p)
@@ -508,12 +507,9 @@ class TLElement:
     def __mul__(self, other):
         if not isinstance(other, TLElement):
             return self.scale(other)
-        return self._glue(other, _context(self.n).compose)
-
-    def _glue(self, other, compose):
         self._check_compatible(other)
         p = self.p if self.ring == "Fp" else None
-        return self._raw(_product(self.terms, other.terms, compose, p))
+        return self._raw(_product(self.terms, other.terms, self.n, p))
 
     __rmul__ = scale
 
@@ -590,6 +586,15 @@ class TLElement:
 # words: the image of the symmetric group, JM elements, diagram factorization
 
 
+def linear_combination(items, n, ring="Q", p=None) -> TLElement:
+    """The sum of c * e over the (c, e) in items, every e an element of
+    TL_n over (ring, p), accumulated in one term dict."""
+    out = TLElement.zero(n, ring, p)
+    for c, e in items:
+        out._accumulate(e, out._coerce(c))
+    return out
+
+
 def phi_word(word, n, ring="Q", p=None) -> TLElement:
     """Image of the word s_(w1) s_(w2) ... under s_i -> u_i - 1."""
     out = TLElement.one(n, ring, p)
@@ -604,10 +609,8 @@ def phi(terms, n, ring="Q", p=None) -> TLElement:
     terms = list(terms)
     if all(isinstance(x, int) for x in terms):
         return phi_word(terms, n, ring, p)
-    out = TLElement.zero(n, ring, p)
-    for c, word in terms:
-        out = out + phi_word(word, n, ring, p).scale(c)
-    return out
+    return linear_combination(((c, phi_word(word, n, ring, p)) for c, word in terms),
+                              n, ring, p)
 
 
 def transposition_word(j, i) -> tuple:
@@ -623,10 +626,8 @@ def transposition_word(j, i) -> tuple:
 def _jm_cached(i: int, n: int):
     if not 1 <= i <= n:
         raise IndexError(f"JM index {i} out of range 1..{n}")
-    out = TLElement.zero(n)
-    for j in range(1, i):
-        out = out + phi_word(transposition_word(j, i), n)
-    return out
+    return linear_combination(((1, phi_word(transposition_word(j, i), n))
+                               for j in range(1, i)), n)
 
 
 def jm_element(i: int, n: int, ring="Q", p=None) -> TLElement:
@@ -653,12 +654,14 @@ def diagram_words(n: int) -> dict:
         for d in queue:
             w = words[d]
             for i, g in enumerate(gens, start=1):
-                d2, loops = ctx.compose(d, g)
+                d2, loops = ctx.splice(d, g)
                 if loops == 0 and d2 not in words:
                     words[d2] = w + (i,)
                     nxt.append(d2)
         queue = nxt
-    assert len(words) == catalan(n)
+    if len(words) != catalan(n):
+        raise InvariantError(f"the generator search reached {len(words)} of "
+                             f"{catalan(n)} diagrams")
     return words
 
 
@@ -720,11 +723,6 @@ def pad(frame) -> bytes:
     return pairing + bytes(x ^ 1 for x in range(len(pairing), 2 * n))
 
 
-def frame_product(a: TLElement, b: TLElement) -> TLElement:
-    """a * b for padded frames, glued without the pair memo."""
-    return a._glue(b, _context(a.n).splice)
-
-
 def frame_stack(frame, diagram: bytes):
     """Put an (S x S) diagram on top of the frame's S top points, frame top
     position j on the diagram's southern position j.  Returns (frame, loops)."""
@@ -750,7 +748,8 @@ def frame_to_tableau(frame) -> Tableau:
         y = pairing[x]
         cols.append(2 if y < x else 1)
     t = tuple(cols)
-    assert tableaux.is_standard(t)
+    if not tableaux.is_standard(t):
+        raise InvariantError(f"frame reads as the non-standard sequence {t}")
     return t
 
 
@@ -823,7 +822,8 @@ class CellVector:
         return cls(tableaux.shape_of(t), {t: 1})
 
     def __add__(self, other):
-        assert self.shape == other.shape
+        if self.shape != other.shape:
+            raise ValueError("cell vectors of different shapes")
         out = dict(self.coords)
         for t, c in other.coords.items():
             new = out.get(t, Fraction(0)) + c
@@ -876,7 +876,7 @@ def cell_action(v: CellVector, a: TLElement) -> CellVector:
     if a.ring == "Fp":
         raise ValueError("cell modules are implemented over Q")
     halves = {pad(half_diagram(t)): c for t, c in v.coords.items()}
-    glued = _product(a.star().terms, halves, _context(a.n).splice)
+    glued = _product(a.star().terms, halves, a.n)
     return CellVector(v.shape, cell_coords(glued, v.shape))
 
 
@@ -909,24 +909,25 @@ def cell_representation_rank(n: int, q: int = 1_000_003) -> int:
         elem = TLElement(n, {d: 1})
         for shape in shapes:
             for (w, u), c in cell_matrix(elem, shape).items():
-                assert c.denominator == 1
+                if c.denominator != 1:
+                    raise InvariantError(f"non-integral cell matrix entry {c}")
                 rows[r, col_index[(shape, w, u)]] = c.numerator % q
-    # Gaussian elimination mod q, vectorized row updates
+    # Gaussian elimination mod q to row echelon form: rows below the pivot
+    # are zero left of the pivot column, so only those with a nonzero entry
+    # in it are updated, on the columns from the pivot onwards
     rank = 0
     m = rows % q
     nrows, ncols = m.shape
     for col in range(ncols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if pivots.size == 0:
+        live = rank + np.nonzero(m[rank:, col])[0]
+        if live.size == 0:
             continue
-        pivot = rank + int(pivots[0])
+        pivot = int(live[0])
         m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), -1, q)
-        m[rank] = m[rank] * inv % q
-        factors = m[:, col].copy()
-        factors[rank] = 0
-        m -= np.outer(factors, m[rank]) % q
-        m %= q
+        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), -1, q) % q
+        below = live[1:]
+        m[below, col:] = (m[below, col:]
+                          - np.outer(m[below, col], m[rank, col:])) % q
         rank += 1
         if rank == nrows:
             break

@@ -43,6 +43,7 @@ from .diagrams import (
     diagram_words,
     half_diagram,
     identity_pairing,
+    linear_combination,
     sandwich,
     transposition_word,
 )
@@ -868,15 +869,9 @@ def operator_to_element(X: SeminormalOperator) -> TLElement:
     expansion of the identity 1 = sum over t of (1/gamma'_t) f_(t,t)."""
     if X.side != "left":
         raise ValueError("only left operators are converted")
-    out = TLElement.zero(X.n)
-    for t in tableaux.all_standard_tableaux(X.n):
-        img = X.apply_index(t)
-        if not img:
-            continue
-        g = f_norm(t)
-        for s, c in img.items():
-            out = out + f_basis_element(s, t).scale(c / g)
-    return out
+    return linear_combination(((c / f_norm(t), f_basis_element(s, t))
+                               for t in tableaux.all_standard_tableaux(X.n)
+                               for s, c in X.apply_index(t).items()), X.n)
 
 
 def _express_in_seminormal_basis(img, fvecs, tabs_asc):

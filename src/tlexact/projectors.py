@@ -32,13 +32,15 @@ index set of n gives the p-Jones-Wenzl idempotent in its direct form.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import check_odd_prime, is_p_integral
+from .coeffs import check_odd_prime
 from . import tableaux
 from .tableaux import Tableau
-from .diagrams import CellVector, TLElement, cell_coords, frame_product
+from .diagrams import (CellVector, TLElement, cell_coords, identity_pairing,
+                       is_noncrossing, linear_combination)
 
 
 class IntegralityViolationError(ArithmeticError):
@@ -48,15 +50,25 @@ class IntegralityViolationError(ArithmeticError):
     bug; a single seminormal idempotent need not be p-integral."""
 
 
+class CacheError(ValueError):
+    """A Jones-Wenzl cache file that cannot be read, or an entry in it that
+    is not the projector it claims to be."""
+
+
 class JWCache:
     """Cache of Jones-Wenzl expansions over Q, one element per strand count.
 
-    The cache is the one piece of mutable state in the package; confine an
-    instance to a single worker or serialize access when parallelizing.
+    Entries read from a file are checked when they are first taken, and a
+    wrong one is dropped: an element x of TL_n over Q with coefficient 1
+    on the identity that every generator kills from the left is JW_n, as
+    x* = x* JW_n lies in TL_n JW_n, which JW_n spans.  The cache is the
+    one piece of mutable state in the package; confine an instance to a
+    single worker or serialize access when parallelizing.
     """
 
     def __init__(self):
         self.elements = {}
+        self._unchecked = set()
 
     def get(self, n: int) -> TLElement:
         if n < 0:
@@ -65,6 +77,12 @@ class JWCache:
         if e is None:
             e = self._compute(n)
             self.elements[n] = e
+        elif n in self._unchecked:
+            self._unchecked.discard(n)
+            if not _is_jones_wenzl(n, e):
+                del self.elements[n]
+                raise CacheError(f"the cache entry for n={n} is not the "
+                                 f"Jones-Wenzl projector JW_{n}")
         return e
 
     def _compute(self, n: int) -> TLElement:
@@ -75,16 +93,44 @@ class JWCache:
         return e - (e * u * e).scale(Fraction(n - 1, n))
 
     def load(self, path):
-        with open(path) as fh:
-            docs = json.load(fh)
-        for doc in docs:
-            self.elements[doc["n"]] = TLElement.from_json(doc["element"])
+        """Read the entries of a cache file; raises CacheError when it is
+        not JSON in the cache schema."""
+        try:
+            with open(path) as fh:
+                docs = json.load(fh)
+            loaded = {}
+            for doc in docs:
+                n = doc["n"]
+                if not isinstance(n, int):
+                    raise ValueError(f"strand count {n!r}")
+                loaded[n] = TLElement.from_json(doc["element"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CacheError(f"{path} is not a Jones-Wenzl cache file: "
+                             f"{type(exc).__name__}: {exc}") from None
+        self.elements.update(loaded)
+        self._unchecked.update(loaded)
 
     def save(self, path):
+        """Write every entry, atomically: a reader sees the old file or the
+        new one, never a partial write."""
         docs = [{"n": n, "element": self.elements[n].to_json()}
                 for n in sorted(self.elements)]
-        with open(path, "w") as fh:
-            json.dump(docs, fh)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(docs, fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def _is_jones_wenzl(n: int, e: TLElement) -> bool:
+    """Whether e is JW_n; see JWCache."""
+    return (e.n == n and e.ring == "Q"
+            and all(len(d) == 2 * n and is_noncrossing(d) for d in e.terms)
+            and e.coeff(identity_pairing(n)) == 1
+            and all((TLElement.generator(i, n) * e).is_zero() for i in range(1, n)))
 
 
 _default_cache = JWCache()
@@ -159,7 +205,7 @@ def _frame_expansion(t: Tableau, cache: JWCache | None = None) -> TLElement:
     f = TLElement.one(0)
     for (d, m), nv in zip(bd.runs, bd.n_values):
         f = f.embed(0, d)
-        f = frame_product(f, cache.get(nv).star().embed(f.n - nv, 0))
+        f = f * cache.get(nv).star().embed(f.n - nv, 0)
         # bend the m rightmost tops down: m more padding cups
         cups = bytes(x ^ 1 for x in range(2 * f.n, 2 * (f.n + m)))
         bent = TLElement.zero(f.n + m)
@@ -180,7 +226,7 @@ def _sandwich(t: Tableau) -> TLElement:
     padding cups of F meet those of F* in l2 loops worth 2 each."""
     f = _frame_expansion(t)
     l2 = tableaux.shape_of(t)[1]
-    return frame_product(f, f.star()).scale(1 / (gamma(t) * 2 ** l2))
+    return (f * f.star()).scale(1 / (gamma(t) * 2 ** l2))
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +294,9 @@ def idempotent_by_products(t: Tableau, n: int | None = None) -> TLElement:
 def convert_ring(e: TLElement, ring: str, p: int) -> TLElement:
     """e (over Q) over ring "Q", "Zp" or "Fp", after checking that every
     coefficient is integral at p; raises IntegralityViolationError."""
+    check_odd_prime(p)
     for c in e.terms.values():
-        if not is_p_integral(c, p):
+        if c.denominator % p == 0:
             raise IntegralityViolationError(
                 f"coefficient {c} is not integral at {p}")
     if ring == "Q":
@@ -271,9 +318,7 @@ def class_idempotent(cls, p: int, ring: str = "Q") -> TLElement:
     expected = tableaux.p_class(cls[0], p)
     if tuple(cls) != tuple(expected):
         raise ValueError("input is not a full p-class")
-    out = TLElement.zero(n)
-    for s in cls:
-        out = out + seminormal_idempotent(s)
+    out = linear_combination(((1, seminormal_idempotent(s)) for s in cls), n)
     return convert_ring(out, ring, p)
 
 
@@ -282,7 +327,7 @@ def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
     base-p index set of n.  p-integral, idempotent over Q and after
     reduction mod p."""
     check_odd_prime(p)
-    out = TLElement.zero(n)
-    for m in sorted(tableaux.index_set(n, p)):
-        out = out + seminormal_idempotent(tableaux.tableau_from_index(m, n, p))
+    out = linear_combination(
+        ((1, seminormal_idempotent(tableaux.tableau_from_index(m, n, p)))
+         for m in sorted(tableaux.index_set(n, p))), n)
     return convert_ring(out, ring, p)

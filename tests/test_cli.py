@@ -1,5 +1,6 @@
 import json
 
+from tlexact import projectors
 from tlexact.cli import main
 from tlexact.diagrams import TLElement
 
@@ -134,3 +135,34 @@ def test_cache_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and env_path.exists()
     assert path.read_text() == snapshot
     assert any(doc["n"] == 5 for doc in json.loads(env_path.read_text()))
+
+
+def test_cache_file_is_validated(tmp_path, capsys):
+    path = tmp_path / "jw-cache.json"
+    code, good, _ = run(capsys, "jw", "--n", "3", "--cache", str(path))
+    assert code == 0
+    docs = json.loads(path.read_text())
+    jw4 = projectors.JWCache().get(4).to_json()
+
+    def edited_coefficient(doc):
+        doc["element"]["terms"][0]["coeff"] = "5"  # not the identity
+
+    def wrong_size(doc):
+        doc["element"] = jw4
+
+    for edit in (edited_coefficient, wrong_size):
+        bad = json.loads(json.dumps(docs))
+        edit(next(doc for doc in bad if doc["n"] == 3))
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "jw", "--n", "3", "--cache", str(path))
+        assert (code, out) == (2, ""), edit.__name__
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert "n=3" in err
+    # the wrong entry was dropped, not kept for the next run in the process
+    assert run(capsys, "jw", "--n", "3")[:2] == (0, good)
+    for text in ("{not json", "[{\"n\": 3}]", "{\"n\": 3}"):
+        path.write_text(text)
+        code, out, err = run(capsys, "jw", "--n", "3", "--cache", str(path))
+        assert (code, out) == (2, ""), text
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert path.read_text() == text

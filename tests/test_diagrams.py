@@ -36,14 +36,14 @@ def test_multiply_matchings_examples():
 
 
 def test_grouped_compose_matches_reference():
-    # n = 8, 9 run the kernel without the pair memo
+    # the single-pair gluing of the factored kernel against strand tracing
     rng = random.Random(7)
     for n in range(0, 10):
         ds = D.all_matchings(n)
         ctx = D._context(n)
         for _ in range(min(len(ds) ** 2, 1500)):
             d1, d2 = rng.choice(ds), rng.choice(ds)
-            assert ctx.compose(d1, d2) == D.compose_pairings(d1, d2, n)
+            assert ctx.splice(d1, d2) == D.compose_pairings(d1, d2, n)
 
 
 def test_tl_relations():

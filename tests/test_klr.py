@@ -180,21 +180,26 @@ def test_operator_side_is_checked():
 def test_invariants_raise_under_python_O():
     # python -O strips assert statements; a failing invariant must still
     # raise.  An image outside the span of the given seminormal vectors
-    # leaves a residual in the forward substitution.
-    code = ("from tlexact import klr, projectors\n"
+    # leaves a residual in the forward substitution; a malformed frame
+    # reads as a non-standard sequence.
+    code = ("from tlexact import diagrams, klr, projectors\n"
             "from tlexact.coeffs import InvariantError\n"
             "img = projectors.seminormal_vector((1, 2))\n"
             "try:\n"
             "    klr._express_in_seminormal_basis(img, {}, [])\n"
             "except InvariantError:\n"
-            "    print(__debug__, 'raised')\n")
+            "    print(__debug__, 'raised')\n"
+            "try:\n"
+            "    diagrams.frame_to_tableau((bytes([1, 0, 0]), 3))\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
     src = os.path.dirname(os.path.dirname(tlexact.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "raised"]
+    assert out.stdout.split() == ["False", "raised", "raised"]
 
 
 def test_distant_diamonds_commute_at_14():
