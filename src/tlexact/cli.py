@@ -37,7 +37,7 @@ from . import klr
 # element-level up to this size; beyond it the comparison runs in f-basis
 # coordinates unless --slow-expand forces the expansion
 _EXPAND_LIMIT = 9
-# the KLR relation suite spans the whole f-basis: about 7 s at n = 10
+# the KLR relation suite spans the whole f-basis: about 1 s at n = 10
 _KLR_LIMIT = 10
 
 
@@ -78,9 +78,15 @@ def _require(args, *names):
             check_odd_prime(args.p)
         except InvalidPrimeError as exc:
             raise UsageError(str(exc)) from None
-    if "n" in names and args.n > args.max_n:
-        raise UsageError(
-            f"n={args.n} exceeds the safety limit --max-n={args.max_n}")
+    if "n" in names:
+        # TL_0 is the ground ring; the p-local constructions start at n = 1
+        least = 1 if "p" in names else 0
+        if args.n < least:
+            raise UsageError(f"--n must be at least {least} for this "
+                             f"command, got {args.n}")
+        if args.n > args.max_n:
+            raise UsageError(
+                f"n={args.n} exceeds the safety limit --max-n={args.max_n}")
 
 
 def _in_ring(e, args):

@@ -84,11 +84,13 @@ class SeminormalOperator:
         out = {}
         for s, c in vec.items():
             for t, c2 in self.action.get(s, {}).items():
-                new = out.get(t, Fraction(0)) + c * c2
+                new = c * c2
+                if t in out:
+                    new += out[t]
                 if new:
                     out[t] = new
                 else:
-                    del out[t]
+                    out.pop(t, None)
         return out
 
     def __add__(self, other):
@@ -97,11 +99,11 @@ class SeminormalOperator:
         for s, v in other.action.items():
             tgt = out.setdefault(s, {})
             for t, c in v.items():
-                new = tgt.get(t, Fraction(0)) + c
+                new = c + tgt[t] if t in tgt else c
                 if new:
                     tgt[t] = new
                 else:
-                    del tgt[t]
+                    tgt.pop(t, None)
         return SeminormalOperator(self.n, self.p, self.side, out)
 
     def __sub__(self, other):
@@ -382,21 +384,49 @@ def _report(check, n, p, ok, counterexample=None):
     return entry
 
 
+def _e_parts(X: SeminormalOperator, block_of: dict, domain: bool) -> dict:
+    """Cut X along the residue blocks in one pass.  parts[i] is the action
+    table of X restricted to the indices in block i (domain=True) or of X
+    with its images cut to block i (domain=False); block_of maps each
+    index to its residue sequence.  For a left operator the two cuts are
+    X e(i) and e(i) X, for a right operator e(i) X and X e(i)."""
+    parts = {}
+    for s, vec in X.action.items():
+        if domain:
+            parts.setdefault(block_of[s], {})[s] = vec
+        else:
+            for t, c in vec.items():
+                parts.setdefault(block_of[t], {}).setdefault(s, {})[t] = c
+    return parts
+
+
 def klr_relations_check(n: int, p: int) -> list:
     """Verify every defining relation of the integral KLR presentation as
     an exact operator identity on the full f-basis (left action on row
-    indices and right action on column indices).  Every operator spans all
-    C(n, n/2) tableaux; the cost grows with the square of that number.
+    indices and right action on column indices).
+
+    The residue sequences group the C(n, n/2) tableaux into blocks, and
+    e(i) is the projection onto block i.  Each relation word that does not
+    depend on i (psi_k^2 and its y-differences, the braid and psi-y
+    differences, and psi_k and y_l themselves) is built once per k on the
+    whole basis and cut into its truncations X e(i) (or e(i) X) for every
+    i in one pass, so the work per residue sequence is a comparison on its
+    block, not a product over the whole basis.
 
     Returns a list of report dicts, one per relation family.
     """
     check_odd_prime(p)
+    if n < 1:
+        raise ValueError(f"the KLR relation suite needs n >= 1, got n={n}")
+    blocks = {tableaux._residues(cls[0], p): cls
+              for cls in tableaux.all_p_classes(n, p)}
+    seqs = tuple(sorted(blocks))
+    block_of = {s: i for i, cls in blocks.items() for s in cls}
     reports = []
-    seqs = achievable_residue_sequences(n, p)
 
     for side in ("left", "right"):
         tag = f"[{side}]"
-        E = {i: act_e(i, n, p, side) for i in seqs}
+        E = {i: op_projection(blocks[i], n, p, side) for i in seqs}
         Y = {l: act_y(l, n, p, side) for l in range(1, n + 1)}
         PSI = {k: act_psi(k, n, p, side) for k in range(1, n)}
         one = op_identity(n, p, side)
@@ -404,6 +434,14 @@ def klr_relations_check(n: int, p: int) -> list:
 
         def prod(*ops):
             return op_word_product(ops)
+
+        def times_e(X):
+            """X e(i) for every i, keyed by i."""
+            return _e_parts(X, block_of, side == "left")
+
+        def e_times(X):
+            """e(i) X for every i, keyed by i."""
+            return _e_parts(X, block_of, side == "right")
 
         # e(i) e(j) = delta e(i); sum over achievable i is the identity
         bad = next((
@@ -420,15 +458,18 @@ def klr_relations_check(n: int, p: int) -> list:
         reports.append(_report(f"e-zero-when-i1-nonzero {tag}", n, p, bad is None, bad))
 
         # y_1 e(i) = 0 and commutations
-        reports.append(_report(f"y1-vanishes {tag}", n, p,
-                               all(prod(Y[1], E[i]).is_zero() for i in seqs)))
+        reports.append(_report(f"y1-vanishes {tag}", n, p, not times_e(Y[1])))
         bad = next((
             (l, m) for l in Y for m in Y
             if prod(Y[l], Y[m]) != prod(Y[m], Y[l])), None)
         reports.append(_report(f"y-commute {tag}", n, p, bad is None, bad))
-        bad = next((
-            (l, i) for l in Y for i in seqs
-            if prod(Y[l], E[i]) != prod(E[i], Y[l])), None)
+        bad = None
+        for l in Y:
+            y_e, e_y = times_e(Y[l]), e_times(Y[l])
+            bad = next(((l, i) for i in seqs
+                        if y_e.get(i, {}) != e_y.get(i, {})), None)
+            if bad:
+                break
         reports.append(_report(f"ye-commute {tag}", n, p, bad is None, bad))
 
         # psi_k e(i) = e(i * s_k) psi_k
@@ -439,14 +480,10 @@ def klr_relations_check(n: int, p: int) -> list:
 
         bad = None
         for k in PSI:
-            for i in seqs:
-                lhs = prod(PSI[k], E[i])
-                js = swap_seq(i, k)
-                rhs = prod(E[js], PSI[k]) if js in E else \
-                    prod(act_e(js, n, p, side), PSI[k])
-                if lhs != rhs:
-                    bad = (k, i)
-                    break
+            psi_e, e_psi = times_e(PSI[k]), e_times(PSI[k])
+            bad = next(((k, i) for i in seqs
+                        if psi_e.get(i, {}) != e_psi.get(swap_seq(i, k), {})),
+                       None)
             if bad:
                 break
         reports.append(_report(f"psi-e-exchange {tag}", n, p, bad is None, bad))
@@ -454,14 +491,14 @@ def klr_relations_check(n: int, p: int) -> list:
         # psi_k y_(k+1) e(i) = (y_k psi_k + delta) e(i), and the mirror
         bad = None
         for k in PSI:
+            psi_y = times_e(prod(PSI[k], Y[k + 1]) - prod(Y[k], PSI[k]))
+            y_psi = times_e(prod(Y[k + 1], PSI[k]) - prod(PSI[k], Y[k]))
             for i in seqs:
-                delta = one if i[k - 1] == i[k] else zero
-                if prod(PSI[k], Y[k + 1], E[i]) != \
-                        prod(Y[k], PSI[k], E[i]) + prod(delta, E[i]):
+                delta = E[i].action if i[k - 1] == i[k] else {}
+                if psi_y.get(i, {}) != delta:
                     bad = ("psi*y", k, i)
                     break
-                if prod(Y[k + 1], PSI[k], E[i]) != \
-                        prod(PSI[k], Y[k], E[i]) + prod(delta, E[i]):
+                if y_psi.get(i, {}) != delta:
                     bad = ("y*psi", k, i)
                     break
             if bad:
@@ -481,17 +518,17 @@ def klr_relations_check(n: int, p: int) -> list:
         # braid deviation
         bad = None
         for k in range(1, n - 1):
+            braid = times_e(prod(PSI[k], PSI[k + 1], PSI[k])
+                            - prod(PSI[k + 1], PSI[k], PSI[k + 1]))
             for i in seqs:
-                lhs = prod(PSI[k], PSI[k + 1], PSI[k], E[i]) - \
-                    prod(PSI[k + 1], PSI[k], PSI[k + 1], E[i])
                 ik, ik1, ik2 = i[k - 1], i[k], i[k + 1]
                 if ik2 == ik and ik1 == (ik + 1) % p:
-                    rhs = E[i].scale(-1)
+                    c = -1
                 elif ik2 == ik and ik == (ik1 + 1) % p:
-                    rhs = E[i]
+                    c = 1
                 else:
-                    rhs = zero
-                if lhs != rhs:
+                    c = 0
+                if braid.get(i, {}) != E[i].scale(c).action:
                     bad = (k, i)
                     break
             if bad:
@@ -502,24 +539,28 @@ def klr_relations_check(n: int, p: int) -> list:
         bad = None
         branches = set()
         for k in PSI:
+            # psi_k^2 e(i) = (y_k - y_(k+1) + c) e(i) is the same identity as
+            # (psi_k^2 - y_k + y_(k+1)) e(i) = c e(i), and likewise for the
+            # mirror, so every branch compares one of three words with c e(i)
+            sq = prod(PSI[k], PSI[k])
+            square = times_e(sq)
+            up = times_e(sq - Y[k] + Y[k + 1])
+            down = times_e(sq - Y[k + 1] + Y[k])
             for i in seqs:
-                lhs = prod(PSI[k], PSI[k], E[i])
                 ik, ik1 = i[k - 1], i[k]
                 if ik1 == (ik + 1) % p and ik1 != 0:
-                    rhs, br = prod(Y[k] - Y[k + 1], E[i]), "y_k - y_(k+1)"
+                    br, word, c = "y_k - y_(k+1)", up, 0
                 elif ik1 == (ik + 1) % p:
-                    rhs, br = prod(Y[k] + one.scale(p) - Y[k + 1], E[i]), \
-                        "y_k + p - y_(k+1)"
+                    br, word, c = "y_k + p - y_(k+1)", up, p
                 elif ik == (ik1 + 1) % p and ik != 0:
-                    rhs, br = prod(Y[k + 1] - Y[k], E[i]), "y_(k+1) - y_k"
+                    br, word, c = "y_(k+1) - y_k", down, 0
                 elif ik == (ik1 + 1) % p:
-                    rhs, br = prod(Y[k + 1] + one.scale(p) - Y[k], E[i]), \
-                        "y_(k+1) + p - y_k"
+                    br, word, c = "y_(k+1) + p - y_k", down, p
                 elif ik == ik1:
-                    rhs, br = zero, "zero"
+                    br, word, c = "zero", square, 0
                 else:
-                    rhs, br = E[i], "identity"
-                if lhs != rhs:
+                    br, word, c = "identity", square, 1
+                if word.get(i, {}) != E[i].scale(c).action:
                     bad = (k, i, br)
                     break
                 if not E[i].is_zero():

@@ -113,6 +113,23 @@ def test_usage_errors(capsys):
     # the exhaustive KLR relation suite stops at n = 10
     code, _, err = run(capsys, "klr-check", "--n", "11", "--p", "3")
     assert code == 2 and "n <= 10" in err
+    # n below the least size a command takes
+    for argv in (("klr-check", "--n", "0", "--p", "3"),
+                 ("verify-all", "--n", "0", "--p", "3"),
+                 ("jw", "--n", "-1"),
+                 ("klr-check", "--n", "-2", "--p", "3"),
+                 ("verify-all", "--n", "-1", "--p", "3"),
+                 ("pjw", "--n", "0", "--p", "3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+
+
+def test_klr_check_at_the_cap(capsys):
+    code, out, _ = run(capsys, "klr-check", "--n", "10", "--p", "3", "--json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 24 and all(r["pass"] for r in reports)
 
 
 def test_deterministic_output(capsys):

@@ -75,13 +75,229 @@ def test_separated_prime_kills_diagonal_psi_term():
             assert s not in img
 
 
+_ALL_BRANCHES = {"y_k - y_(k+1)", "y_k + p - y_(k+1)", "y_(k+1) - y_k",
+                 "y_(k+1) + p - y_k", "zero", "identity"}
+
+
 def test_klr_relations():
-    for (n, p) in [(3, 3), (4, 3), (5, 3), (4, 5)]:
+    for (n, p) in [(3, 3), (4, 3), (5, 3), (4, 5), (8, 7), (9, 5)]:
         reports = K.klr_relations_check(n, p)
         assert all(r["pass"] for r in reports), reports
         [sq] = [r for r in reports if r["check"] == "psi-squared [left]"]
         if n >= 4 and p == 3:
             assert "y_k + p - y_(k+1)" in sq["branches_exercised"]
+        if n >= 8:
+            assert set(sq["branches_exercised"]) == _ALL_BRANCHES
+
+
+def reference_relations_check(n, p):
+    """The KLR relation suite as it was first written: every relation word
+    is folded from the left for each residue sequence i, e(i) included, on
+    the whole f-basis.  Kept as the oracle for klr_relations_check, which
+    builds each residue-independent word once and cuts it by blocks."""
+    K.check_odd_prime(p)
+    reports = []
+    seqs = K.achievable_residue_sequences(n, p)
+
+    for side in ("left", "right"):
+        tag = f"[{side}]"
+        E = {i: K.act_e(i, n, p, side) for i in seqs}
+        Y = {l: K.act_y(l, n, p, side) for l in range(1, n + 1)}
+        PSI = {k: K.act_psi(k, n, p, side) for k in range(1, n)}
+        one = K.op_identity(n, p, side)
+        zero = K.op_zero(n, p, side)
+
+        def prod(*ops):
+            return K.op_word_product(ops)
+
+        # e(i) e(j) = delta e(i); sum over achievable i is the identity
+        bad = next((
+            (i, j) for i in seqs for j in seqs
+            if prod(E[i], E[j]) != (E[i] if i == j else zero)), None)
+        reports.append(K._report(f"e-orthogonality {tag}", n, p, bad is None, bad))
+        total = K.op_zero(n, p, side)
+        for i in seqs:
+            total = total + E[i]
+        reports.append(K._report(f"e-completeness {tag}", n, p, total == one))
+
+        # residue sequences of standard tableaux always start at 0
+        bad = next((i for i in seqs if i[0] != 0), None)
+        reports.append(K._report(f"e-zero-when-i1-nonzero {tag}", n, p, bad is None, bad))
+
+        # y_1 e(i) = 0 and commutations
+        reports.append(K._report(f"y1-vanishes {tag}", n, p,
+                               all(prod(Y[1], E[i]).is_zero() for i in seqs)))
+        bad = next((
+            (l, m) for l in Y for m in Y
+            if prod(Y[l], Y[m]) != prod(Y[m], Y[l])), None)
+        reports.append(K._report(f"y-commute {tag}", n, p, bad is None, bad))
+        bad = next((
+            (l, i) for l in Y for i in seqs
+            if prod(Y[l], E[i]) != prod(E[i], Y[l])), None)
+        reports.append(K._report(f"ye-commute {tag}", n, p, bad is None, bad))
+
+        # psi_k e(i) = e(i * s_k) psi_k
+        def swap_seq(i, k):
+            j = list(i)
+            j[k - 1], j[k] = j[k], j[k - 1]
+            return tuple(j)
+
+        bad = None
+        for k in PSI:
+            for i in seqs:
+                lhs = prod(PSI[k], E[i])
+                js = swap_seq(i, k)
+                rhs = prod(E[js], PSI[k]) if js in E else \
+                    prod(K.act_e(js, n, p, side), PSI[k])
+                if lhs != rhs:
+                    bad = (k, i)
+                    break
+            if bad:
+                break
+        reports.append(K._report(f"psi-e-exchange {tag}", n, p, bad is None, bad))
+
+        # psi_k y_(k+1) e(i) = (y_k psi_k + delta) e(i), and the mirror
+        bad = None
+        for k in PSI:
+            for i in seqs:
+                delta = one if i[k - 1] == i[k] else zero
+                if prod(PSI[k], Y[k + 1], E[i]) != \
+                        prod(Y[k], PSI[k], E[i]) + prod(delta, E[i]):
+                    bad = ("psi*y", k, i)
+                    break
+                if prod(Y[k + 1], PSI[k], E[i]) != \
+                        prod(PSI[k], Y[k], E[i]) + prod(delta, E[i]):
+                    bad = ("y*psi", k, i)
+                    break
+            if bad:
+                break
+        reports.append(K._report(f"psi-y-exchange {tag}", n, p, bad is None, bad))
+
+        # distant commutations
+        bad = next((
+            (k, l) for k in PSI for l in Y if l not in (k, k + 1)
+            and prod(PSI[k], Y[l]) != prod(Y[l], PSI[k])), None)
+        reports.append(K._report(f"psi-y-distant {tag}", n, p, bad is None, bad))
+        bad = next((
+            (k, m) for k in PSI for m in PSI if abs(k - m) > 1
+            and prod(PSI[k], PSI[m]) != prod(PSI[m], PSI[k])), None)
+        reports.append(K._report(f"psi-psi-distant {tag}", n, p, bad is None, bad))
+
+        # braid deviation
+        bad = None
+        for k in range(1, n - 1):
+            for i in seqs:
+                lhs = prod(PSI[k], PSI[k + 1], PSI[k], E[i]) - \
+                    prod(PSI[k + 1], PSI[k], PSI[k + 1], E[i])
+                ik, ik1, ik2 = i[k - 1], i[k], i[k + 1]
+                if ik2 == ik and ik1 == (ik + 1) % p:
+                    rhs = E[i].scale(-1)
+                elif ik2 == ik and ik == (ik1 + 1) % p:
+                    rhs = E[i]
+                else:
+                    rhs = zero
+                if lhs != rhs:
+                    bad = (k, i)
+                    break
+            if bad:
+                break
+        reports.append(K._report(f"braid-deviation {tag}", n, p, bad is None, bad))
+
+        # psi^2, including the +p corrections at the quiver edge through 0
+        bad = None
+        branches = set()
+        for k in PSI:
+            for i in seqs:
+                lhs = prod(PSI[k], PSI[k], E[i])
+                ik, ik1 = i[k - 1], i[k]
+                if ik1 == (ik + 1) % p and ik1 != 0:
+                    rhs, br = prod(Y[k] - Y[k + 1], E[i]), "y_k - y_(k+1)"
+                elif ik1 == (ik + 1) % p:
+                    rhs, br = prod(Y[k] + one.scale(p) - Y[k + 1], E[i]), \
+                        "y_k + p - y_(k+1)"
+                elif ik == (ik1 + 1) % p and ik != 0:
+                    rhs, br = prod(Y[k + 1] - Y[k], E[i]), "y_(k+1) - y_k"
+                elif ik == (ik1 + 1) % p:
+                    rhs, br = prod(Y[k + 1] + one.scale(p) - Y[k], E[i]), \
+                        "y_(k+1) + p - y_k"
+                elif ik == ik1:
+                    rhs, br = zero, "zero"
+                else:
+                    rhs, br = E[i], "identity"
+                if lhs != rhs:
+                    bad = (k, i, br)
+                    break
+                if not E[i].is_zero():
+                    branches.add(br)
+            if bad:
+                break
+        entry = K._report(f"psi-squared {tag}", n, p, bad is None, bad)
+        entry["branches_exercised"] = sorted(branches)
+        reports.append(entry)
+
+    return reports
+
+
+def test_klr_relations_match_reference():
+    for p in (3, 5, 7):
+        for n in range(1, 9):
+            assert K.klr_relations_check(n, p) \
+                == reference_relations_check(n, p), (n, p)
+
+
+def test_klr_relations_need_a_strand():
+    with pytest.raises(ValueError):
+        K.klr_relations_check(0, 3)
+
+
+def _assert_same_failures(n, p, side):
+    """The block-cut suite and the reference fail on the same checks with
+    the same counterexamples, only on the perturbed side, and at least
+    once."""
+    reports = K.klr_relations_check(n, p)
+    assert reports == reference_relations_check(n, p)
+    failed = [r for r in reports if not r["pass"]]
+    assert failed, (n, p, side)
+    assert all(r["check"].endswith(f"[{side}]") for r in failed), failed
+    # psi-squared is checked through the block cuts of psi_k^2
+    assert any(r["check"].startswith("psi-squared") for r in failed), failed
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_klr_relations_detect_a_psi_coefficient(monkeypatch, side):
+    n, p = 6, 3
+    s, k = (1, 1, 2, 1, 2, 2), 2
+    real = K._psi_images
+
+    def perturbed(t, kk, pp, sd):
+        out = real(t, kk, pp, sd)
+        if (t, kk, sd) == (s, k, side):
+            u = min(out)
+            out = dict(out)
+            out[u] += 1
+        return out
+
+    assert real(s, k, p, side)
+    monkeypatch.setattr(K, "_psi_images", perturbed)
+    _assert_same_failures(n, p, side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_klr_relations_detect_a_y_eigenvalue(monkeypatch, side):
+    n, p = 6, 3
+    s, l = (1, 1, 2, 1, 2, 2), 4
+    real = K.act_y
+
+    def perturbed(ll, nn, pp, sd="left"):
+        op = real(ll, nn, pp, sd)
+        if (ll, sd) != (l, side):
+            return op
+        action = {t: dict(v) for t, v in op.action.items()}
+        action.setdefault(s, {})[s] = action.get(s, {}).get(s, Fraction(0)) + pp
+        return K.SeminormalOperator(nn, pp, sd, action)
+
+    monkeypatch.setattr(K, "act_y", perturbed)
+    _assert_same_failures(n, p, side)
 
 
 def test_bimodule_consistency():
