@@ -17,6 +17,31 @@ from tlexact import klr as K
 from tlexact.diagrams import element_to_str
 from tlexact.projectors import p_jones_wenzl_direct
 
+
+def cabling_comparison(n, p):
+    """Report whether the truncated cabling image of u_i (e times the
+    product of the u-generators over the block-swap word, times e) agrees
+    with the diamond, over Q and (when both sides have p-integral entries)
+    after reduction mod p.  The question is open; nothing is asserted."""
+    reports = []
+    n2 = K.n2_of(n, p)
+    e = K.truncation_idempotent(n, p, "left")
+    for i in range(1, n2):
+        word = K.block_swap_word(i, p)
+        cab = K.op_word_product(
+            [e] + [K.act_u(w, n, p, "left") for w in word] + [e])
+        dia = K.diamond(i, n, p, "left")
+        entry = {"check": "cabling-vs-diamond", "n": n, "p": p, "index": i,
+                 "equal_over_Q": cab == dia,
+                 "cabling_p_integral": cab.entries_p_integral(),
+                 "diamond_p_integral": dia.entries_p_integral()}
+        if entry["cabling_p_integral"] and entry["diamond_p_integral"]:
+            entry["equal_mod_p"] = (cab.reduced_action_mod_p()
+                                    == dia.reduced_action_mod_p())
+        reports.append(entry)
+    return reports
+
+
 for (n, p) in [(3, 3), (8, 3), (12, 3), (5, 5), (9, 5)]:
     ch = T.radix_chain(n, p)
     rec = K.p_jones_wenzl_recursive_operator(n, p)
@@ -43,6 +68,6 @@ print("  complement nonzero:", not rest.is_zero(),
 
 print("\ncabling vs diamond (open question; reported, not asserted):")
 for (n, p) in [(8, 3), (11, 3), (12, 3)]:
-    for r in K.cabling_comparison(n, p):
+    for r in cabling_comparison(n, p):
         print(f"  n={n}, index {r['index']}: equal over Q: "
               f"{r['equal_over_Q']}; equal mod p: {r.get('equal_mod_p')}")

@@ -13,7 +13,6 @@ chain.
 from .coeffs import (
     InvalidPrimeError,
     InvariantError,
-    PrimeFieldScalar,
     ReductionUndefinedError,
     is_p_integral,
     reduce_mod_p,
@@ -40,7 +39,6 @@ from .klr import (
     act_y,
     diamond,
     diamond_formula_check,
-    iota_cab,
     iota_klr,
     klr_relations_check,
     operator_to_element,
@@ -56,7 +54,6 @@ __all__ = [
     "IntegralityViolationError",
     "InvariantError",
     "JWCache",
-    "PrimeFieldScalar",
     "ReductionUndefinedError",
     "SeminormalOperator",
     "TLElement",
@@ -72,7 +69,6 @@ __all__ = [
     "element_to_str",
     "gamma",
     "idempotent_by_products",
-    "iota_cab",
     "iota_klr",
     "is_p_integral",
     "jones_wenzl",

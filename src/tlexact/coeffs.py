@@ -9,7 +9,6 @@ F_p, and string (de)serialization of rationals as used in all JSON output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -56,74 +55,20 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeFieldScalar:
-    """A residue in F_p, p an odd prime."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_odd_prime(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, PrimeFieldScalar):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldScalar((self.value + v) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldScalar((self.value - v) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return PrimeFieldScalar((self.value * v) % self.modulus, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldScalar((-self.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "PrimeFieldScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return PrimeFieldScalar(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __str__(self):
-        return str(self.value)
-
-
 def is_p_integral(q, p: int) -> bool:
     """True iff q = a/b in lowest terms has p not dividing b."""
     check_odd_prime(p)
     return Fraction(q).denominator % p != 0
 
 
-def reduce_mod_p(q, p: int) -> PrimeFieldScalar:
-    """Reduce a p-integral rational a/b to (a * b^-1) mod p."""
+def reduce_mod_p(q, p: int) -> int:
+    """Reduce a p-integral rational a/b to the int (a * b^-1) mod p, in
+    0..p-1."""
     check_odd_prime(p)
     q = Fraction(q)
     if q.denominator % p == 0:
         raise ReductionUndefinedError(f"{q} is not integral at p={p}")
-    return PrimeFieldScalar(q.numerator * pow(q.denominator, -1, p) % p, p)
+    return q.numerator * pow(q.denominator, -1, p) % p
 
 
 def format_rational(q: Fraction) -> str:

@@ -22,9 +22,9 @@ indices, with exact rational coefficients throughout.
 On top of the generator actions the module builds the diamond operators
 (idempotent-truncated block swaps, computed on the one-column p-class
 alone), the induced inclusion of a smaller Temperley-Lieb algebra sending
-u_i to the i-th diamond, the cabling inclusion, the small-algebra
-Jucys-Murphy operators, and the recursive construction of the
-p-Jones-Wenzl idempotent along the base-p radix chain.
+u_i to the i-th diamond, the small-algebra Jucys-Murphy operators, and
+the recursive construction of the p-Jones-Wenzl idempotent along the
+base-p radix chain.
 Relation checkers certify the whole calculus numerically: the full KLR
 relation suite, the closed diamond action formulas, and the final
 recursive = direct comparison.
@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import InvariantError, check_odd_prime, is_p_integral
+from .coeffs import InvariantError, check_odd_prime, is_p_integral, reduce_mod_p
 from . import tableaux
 from .tableaux import Tableau
 from .diagrams import (
@@ -135,12 +135,11 @@ class SeminormalOperator:
 
     def reduced_action_mod_p(self) -> dict:
         """Matrix entries reduced mod p (requires p-integrality)."""
-        from .coeffs import reduce_mod_p
         out = {}
         for s, vec in self.action.items():
             red = {}
             for t, c in vec.items():
-                v = reduce_mod_p(c, self.p).value
+                v = reduce_mod_p(c, self.p)
                 if v:
                     red[t] = v
             if red:
@@ -191,65 +190,6 @@ def op_word_product(ops) -> SeminormalOperator:
     return out
 
 
-class FVector:
-    """A vector in the span of the f-basis, indexed by same-shape pairs."""
-
-    __slots__ = ("n", "p", "coords")
-
-    def __init__(self, n, p, coords=None):
-        self.n = n
-        self.p = p
-        self.coords = {}
-        if coords:
-            for (s, t), c in coords.items():
-                if tableaux.shape_of(s) != tableaux.shape_of(t):
-                    raise ValueError("pair of mismatched shapes")
-                c = Fraction(c)
-                if c:
-                    self.coords[(s, t)] = c
-
-    @classmethod
-    def basis_vector(cls, s, t, p):
-        return cls(len(s), p, {(tuple(s), tuple(t)): 1})
-
-    def __eq__(self, other):
-        return isinstance(other, FVector) and (self.n, self.p) == (other.n, other.p) \
-            and self.coords == other.coords
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for k, c in other.coords.items():
-            new = out.get(k, Fraction(0)) + c
-            if new:
-                out[k] = new
-            else:
-                del out[k]
-        return FVector(self.n, self.p, out)
-
-    def scale(self, c):
-        return FVector(self.n, self.p,
-                       {k: v * Fraction(c) for k, v in self.coords.items()})
-
-    def is_zero(self):
-        return not self.coords
-
-
-def apply_operator(op: SeminormalOperator, fv: FVector) -> FVector:
-    if (op.n, op.p) != (fv.n, fv.p):
-        raise ValueError("mismatched basis")
-    out = {}
-    for (s, t), c in fv.coords.items():
-        idx = s if op.side == "left" else t
-        for idx2, c2 in op.action.get(idx, {}).items():
-            key = (idx2, t) if op.side == "left" else (s, idx2)
-            new = out.get(key, Fraction(0)) + c * c2
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return FVector(fv.n, fv.p, out)
-
-
 # ---------------------------------------------------------------------------
 # generator actions
 
@@ -263,12 +203,6 @@ def act_e(iseq, n: int, p: int, side: str = "left") -> SeminormalOperator:
         s: {s: Fraction(1)}
         for s in tableaux.all_standard_tableaux(n)
         if tableaux._residues(s, p) == iseq})
-
-
-def achievable_residue_sequences(n: int, p: int) -> tuple:
-    check_odd_prime(p)
-    return tuple(sorted({tableaux._residues(s, p)
-                         for s in tableaux.all_standard_tableaux(n)}))
 
 
 def act_y(l: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
@@ -294,24 +228,11 @@ def _alpha(s: Tableau, k: int, t, r: int) -> Fraction:
     return Fraction(r * r - 1, r * r)
 
 
-def alpha_coefficient(s: Tableau, k: int) -> Fraction:
-    """The canonical seminormal coefficient system evaluated at (s, k);
-    the only system used here (takes values 1, (r^2-1)/r^2 and 0)."""
-    cont = tableaux.contents(s)
-    r = cont[k - 1] - cont[k]
-    return _alpha(s, k, tableaux.swap_adjacent(s, k), r)
-
-
-def psi_coefficients(s: Tableau, k: int, p: int, side: str = "left") -> dict:
+def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
     """The image of the acted-side index s under psi_k as a sparse vector:
     the beta (left) or beta-tilde (right) coefficient on s*s_k, plus the
-    -1/r diagonal term when the residues at k, k+1 agree."""
-    check_odd_prime(p)
-    return _psi_images(tuple(s), k, p, side)
-
-
-def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
-    """psi_coefficients for an odd prime p that the caller has checked."""
+    -1/r diagonal term when the residues at k, k+1 agree.  The caller has
+    checked that p is an odd prime."""
     cont = tableaux.contents(s)
     r = cont[k - 1] - cont[k]
     ik, ik1 = cont[k - 1] % p, cont[k] % p
@@ -593,10 +514,6 @@ def block_swap_word(i: int, p: int) -> tuple:
     return tuple(word)
 
 
-def decreasing_residue_sequence(n: int, p: int) -> tuple:
-    return tuple((-j) % p for j in range(n))
-
-
 @lru_cache(maxsize=None)
 def truncation_idempotent(n: int, p: int, side: str = "left") -> SeminormalOperator:
     """e: the class idempotent of the one-column tableau, acting as the
@@ -689,6 +606,7 @@ def diamond_formula_check(n: int, p: int) -> list:
         raise ValueError(f"no diamonds at n={n}, p={p}: need two length-p "
                          "blocks (n2 >= 2)")
     cls = tableaux.class_of_one_column(n, p)
+    keep = set(cls)
     for side in ("left", "right"):
         tag = f"[{side}]"
         bad = None
@@ -705,14 +623,16 @@ def diamond_formula_check(n: int, p: int) -> list:
         reports.append(_report(f"diamond-closed-form {tag}", n, p,
                                bad is None, bad))
 
-        # e-truncation: diamonds kill everything outside the class
+        # e-truncation: diamonds kill everything outside the class (every
+        # key lies in it, as apply_index gives {} off the keys) and land in
+        # it (every image index lies in it)
         bad = None
         for i in range(1, n2):
             dia = diamond(i, n, p, side)
-            for s in tableaux.all_standard_tableaux(n):
-                if s not in cls and dia.apply_index(s):
-                    bad = (i, s)
-                    break
+            bad = next(((i, s, t) for s, vec in dia.action.items()
+                        for t in (s, *vec) if t not in keep), None)
+            if bad:
+                break
         reports.append(_report(f"diamond-e-truncation {tag}", n, p,
                                bad is None, bad))
 
@@ -797,42 +717,6 @@ def iota_klr(x: TLElement, n: int, p: int, side: str = "left",
             op = e
         out = out + op.scale(c)
     return out
-
-
-def iota_cab(i: int, n: int, p: int) -> TLElement:
-    """The cabling image of u_i: the product of Temperley-Lieb generators
-    over the block-swap word.  Its square is 2^p times itself (each strand
-    became p parallel strands), so mod p it is again a u-generator square
-    relation by Fermat."""
-    n2 = n2_of(n, p)
-    if not 1 <= i <= n2 - 1:
-        raise IndexError(f"index {i} out of range")
-    out = TLElement.one(n)
-    for w in block_swap_word(i, p):
-        out = out * TLElement.generator(w, n)
-    return out
-
-
-def cabling_comparison(n: int, p: int) -> list:
-    """Report whether the truncated cabling action e iota_cab(u_i) e agrees
-    with the diamond, over Q and (when both sides have p-integral entries)
-    after reduction mod p.  The question is open; nothing is asserted."""
-    reports = []
-    n2 = n2_of(n, p)
-    e = truncation_idempotent(n, p, "left")
-    for i in range(1, n2):
-        word = block_swap_word(i, p)
-        cab = op_word_product([e] + [act_u(w, n, p, "left") for w in word] + [e])
-        dia = diamond(i, n, p, "left")
-        entry = {"check": "cabling-vs-diamond", "n": n, "p": p, "index": i,
-                 "equal_over_Q": cab == dia,
-                 "cabling_p_integral": cab.entries_p_integral(),
-                 "diamond_p_integral": dia.entries_p_integral()}
-        if entry["cabling_p_integral"] and entry["diamond_p_integral"]:
-            entry["equal_mod_p"] = (cab.reduced_action_mod_p()
-                                    == dia.reduced_action_mod_p())
-        reports.append(entry)
-    return reports
 
 
 def small_jm(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:

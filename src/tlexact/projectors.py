@@ -51,8 +51,8 @@ class IntegralityViolationError(ArithmeticError):
 
 
 class CacheError(ValueError):
-    """A Jones-Wenzl cache file that cannot be read, or an entry in it that
-    is not the projector it claims to be."""
+    """A Jones-Wenzl cache file that cannot be read or written, or an entry
+    in it that is not the projector it claims to be."""
 
 
 class JWCache:
@@ -112,7 +112,8 @@ class JWCache:
 
     def save(self, path):
         """Write every entry, atomically: a reader sees the old file or the
-        new one, never a partial write."""
+        new one, never a partial write.  Raises CacheError when the file
+        cannot be written."""
         docs = [{"n": n, "element": self.elements[n].to_json()}
                 for n in sorted(self.elements)]
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -120,6 +121,9 @@ class JWCache:
             with open(tmp, "w") as fh:
                 json.dump(docs, fh)
             os.replace(tmp, path)
+        except OSError as exc:
+            raise CacheError(f"cannot write the Jones-Wenzl cache {path}: "
+                             f"{type(exc).__name__}: {exc}") from None
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -239,11 +243,9 @@ def _seminormal_idempotent_cached(t: Tableau) -> TLElement:
     return _sandwich(t)
 
 
-def seminormal_idempotent(t: Tableau, use_absorption: bool = True) -> TLElement:
+def seminormal_idempotent(t: Tableau) -> TLElement:
     """E'_t = (1/gamma_t) f_t* f_t as an element of TL_n over Q."""
-    if use_absorption:
-        return _seminormal_idempotent_cached(tuple(t))
-    return _sandwich(tuple(t))
+    return _seminormal_idempotent_cached(tuple(t))
 
 
 # ---------------------------------------------------------------------------

@@ -102,16 +102,6 @@ def one_column_tableau(n: int) -> Tableau:
     return (1,) * n
 
 
-def column_reading_tableau(shape: tuple) -> Tableau:
-    l1, l2 = shape
-    return (1,) * l1 + (2,) * l2
-
-
-def row_reading_tableau(shape: tuple) -> Tableau:
-    l1, l2 = shape
-    return (1, 2) * l2 + (1,) * (l1 - l2)
-
-
 # ---------------------------------------------------------------------------
 # contents, dominance, residues
 

@@ -154,6 +154,20 @@ def test_cache_flag_and_env(tmp_path, capsys, monkeypatch):
     assert any(doc["n"] == 5 for doc in json.loads(env_path.read_text()))
 
 
+def test_unwritable_cache_is_a_cache_error(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "no-such-dir" / "jw.json")
+    for argv in (("jw", "--n", "3"), ("pjw", "--n", "3", "--p", "3"),
+                 ("idempotent", "--tableau", "1,1,2")):
+        code, _, err = run(capsys, *argv, "--cache", path)
+        assert code == 2, argv
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    monkeypatch.setenv("TL_CACHE", path)
+    code, _, err = run(capsys, "jw", "--n", "3")
+    assert code == 2 and err.startswith("cache error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_file_is_validated(tmp_path, capsys):
     path = tmp_path / "jw-cache.json"
     code, good, _ = run(capsys, "jw", "--n", "3", "--cache", str(path))

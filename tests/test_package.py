@@ -1,0 +1,39 @@
+"""Names that code outside the package relies on, and the demos."""
+
+import glob
+import importlib
+import os
+import subprocess
+import sys
+
+import tlexact
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_public_and_traced_names_resolve(monkeypatch):
+    # bench/spans.py patches each listed (module, attribute) by getattr, so
+    # a deleted or renamed name breaks every traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    spans = importlib.import_module("spans")
+    for table in (spans.SPANS, spans.LEAVES, spans.COUNTS, spans.CACHE_INFO):
+        for module, attr in table.values():
+            owner = importlib.import_module(f"tlexact.{module}")
+            for part in attr.split("."):
+                assert hasattr(owner, part), (module, attr)
+                owner = getattr(owner, part)
+    for name in tlexact.__all__:
+        assert hasattr(tlexact, name), name
+
+
+def test_demos_run():
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    assert len(demos) == 6
+    for demo in demos:
+        proc = subprocess.run([sys.executable, demo], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, ""), demo

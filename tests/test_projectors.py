@@ -96,15 +96,13 @@ def test_seminormal_idempotent_example():
     expected = (u1.scale(Fraction(1, 6)) + u2.scale(Fraction(2, 3))
                 - (u1 * u2 + u2 * u1).scale(Fraction(1, 3)))
     assert P.seminormal_idempotent((1, 1, 2)) == expected
-    assert P.seminormal_idempotent((1, 1, 2), use_absorption=False) == expected
+    assert P._sandwich((1, 1, 2)) == expected
 
 
 def test_seminormal_idempotent_one_column_general_path():
     # the absorption shortcut agrees with the raw sandwich construction
     for n in range(1, 6):
-        assert P.seminormal_idempotent(T.one_column_tableau(n),
-                                       use_absorption=False) \
-            == P.jones_wenzl(n)
+        assert P._sandwich(T.one_column_tableau(n)) == P.jones_wenzl(n)
 
 
 def test_orthogonal_idempotent_family_small():

@@ -14,8 +14,9 @@ def test_two_column_partitions():
 def test_standard_tableaux_order_and_extremes():
     tabs = T.standard_tableaux((2, 1))
     assert tabs == ((1, 1, 2), (1, 2, 1))
-    assert tabs[0] == T.column_reading_tableau((2, 1))
-    assert tabs[-1] == T.row_reading_tableau((2, 1))
+    # column reading first, row reading last
+    tabs = T.standard_tableaux((3, 2))
+    assert (tabs[0], tabs[-1]) == ((1, 1, 1, 2, 2), (1, 2, 1, 2, 1))
     assert T.standard_tableaux((4, 0)) == ((1, 1, 1, 1),)
 
 
@@ -30,7 +31,7 @@ def test_contents():
     for n in (1, 4, 7):
         t = T.one_column_tableau(n)
         assert T.contents(t) == tuple(1 - i for i in range(1, n + 1))
-    assert T.contents(T.row_reading_tableau((2, 2))) == (0, 1, -1, 0)
+    assert T.contents((1, 2, 1, 2)) == (0, 1, -1, 0)
     with pytest.raises(IndexError):
         T.content((1, 2), 3)
 
