@@ -1,10 +1,12 @@
 """Exact scalar arithmetic.
 
 All computations in this package run over exact coefficient rings: the
-rationals Q (as ``fractions.Fraction``), the localization Z_(p) of Z at an
-odd prime p (rationals a/b with p not dividing b), and the prime field F_p.
-This module provides the p-integrality predicate, reduction from Z_(p) to
-F_p, and string (de)serialization of rationals as used in all JSON output.
+rationals Q, the localization Z_(p) of Z at an odd prime p (rationals a/b
+with p not dividing b), and the prime field F_p.  Scalars are Fractions;
+Temperley-Lieb elements hold integer numerators over one denominator (see
+:mod:`tlexact.diagrams`).  This module provides the p-integrality
+predicate, reduction from Z_(p) to F_p, and string (de)serialization of
+rationals as used in all JSON output.
 """
 
 from __future__ import annotations

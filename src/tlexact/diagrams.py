@@ -29,8 +29,11 @@ pattern.  Its inner work is at most 2|a||b| and far less on dense
 elements (Jones-Wenzl squares, idempotent sandwiches), where many pairs
 share their halves.
 
-Elements carry one of three coefficient rings: "Q" (Fraction), "Zp"
-(Fraction, checked p-integral), or "Fp" (integers mod p).
+Elements carry one of three coefficient rings: "Q", "Zp" (checked
+p-integral) or "Fp" (integers mod p).  An element holds integer numerators
+over one common denominator in lowest terms (1 over F_p), so a product
+multiplies plain integers and reduces once; Fractions appear only at the
+API edge (``coeff``, ``items``, ``terms``, the JSON and string forms).
 
 The module also provides the half-diagram machinery: "frames" are planar
 matchings of n bottom and S top points, used both for the cell modules and
@@ -43,9 +46,10 @@ of these padded diagrams, run through the same kernel as element products.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 from .coeffs import InvariantError, format_rational, parse_rational, check_odd_prime
 from . import tableaux
@@ -54,16 +58,6 @@ from .tableaux import Tableau
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
-
-
-def _lcm_denominators(terms) -> int:
-    den = 1
-    for c in terms.values():
-        d = c.denominator
-        if d != 1:
-            from math import gcd
-            den = den // gcd(den, d) * d
-    return den
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +326,7 @@ def _context(n: int) -> _MulContext:
 
 
 def _factored(a: dict, b: dict, ctx: _MulContext) -> dict:
-    """The product of two term dicts with integer coefficients, factored
+    """The product of two dicts of integer numerators, factored
     through halves (see the module docstring): a is grouped by south half
     and b by north half; per south half of a, b's capped south halves are
     summed per top-cap pattern, then multiplied out against a's capped
@@ -377,22 +371,6 @@ def _factored(a: dict, b: dict, ctx: _MulContext) -> dict:
     return acc
 
 
-def _product(a: dict, b: dict, n: int, p=None) -> dict:
-    """The terms of the product of two TL_n term dicts.  Over F_p (p given)
-    the sums are reduced at the end; over Q denominators are cleared first,
-    so the kernel multiplies plain integers and each output diagram gets
-    one Fraction."""
-    ctx = _context(n)
-    if p is not None:
-        return {d: c % p for d, c in _factored(a, b, ctx).items() if c % p}
-    da = _lcm_denominators(a)
-    db = _lcm_denominators(b)
-    a = {d: int(c * da) for d, c in a.items()}
-    b = {d: int(c * db) for d, c in b.items()}
-    den = da * db
-    return {d: Fraction(c, den) for d, c in _factored(a, b, ctx).items() if c}
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -400,10 +378,36 @@ def _product(a: dict, b: dict, n: int, p=None) -> dict:
 _RINGS = ("Q", "Zp", "Fp")
 
 
-class TLElement:
-    """A sparse linear combination of Temperley-Lieb diagrams."""
+class _Terms(Mapping):
+    """Read-only view diagram -> coefficient of an element: a Fraction
+    (an int over F_p) is built only for a value that is read."""
 
-    __slots__ = ("n", "ring", "p", "terms")
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, e):
+        self._num, self._den = e.num, e.ring != "Fp" and e.den
+
+    def __getitem__(self, d):
+        return Fraction(self._num[d], self._den) if self._den else self._num[d]
+
+    def __len__(self):
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __contains__(self, d):
+        return d in self._num
+
+
+class TLElement:
+    """A sparse linear combination of Temperley-Lieb diagrams, stored as
+    integer numerators ``num`` (diagram -> int) over one positive common
+    denominator ``den``.  The form is canonical: no numerator is zero and
+    gcd(den, *num.values()) == 1; over F_p, den == 1 and the numerators
+    lie in 1..p-1.  ``terms`` shows the coefficients themselves."""
+
+    __slots__ = ("n", "ring", "p", "num", "den")
 
     def __init__(self, n, terms=None, ring="Q", p=None):
         if ring not in _RINGS:
@@ -412,13 +416,18 @@ class TLElement:
             check_odd_prime(p)
         elif p is not None:
             raise ValueError("p only makes sense for Zp/Fp")
-        self.n = n
-        self.ring = ring
-        self.p = p
-        self.terms = {}
+        self.n, self.ring, self.p = n, ring, p
+        self.num, self.den = {}, 1
         if terms:
-            for d, c in terms.items():
-                self._iadd_term(bytes(d), c)
+            self._fill(terms.items())
+
+    def _fill(self, items):
+        """Set the terms of the (d, c) pairs, summing repeated diagrams."""
+        parts = [(bytes(d), *self._scalar(c)) for d, c in items]
+        self.den = den = lcm(*(q for _, _, q in parts))
+        for d, c, q in parts:
+            self.num[d] = self.num.get(d, 0) + c * (den // q)
+        self._reduce()
 
     # -- construction helpers
 
@@ -434,28 +443,20 @@ class TLElement:
     def generator(cls, i, n, ring="Q", p=None):
         return cls(n, {generator_pairing(i, n): 1}, ring, p)
 
-    def _coerce(self, c):
+    def _scalar(self, c):
+        """c in the element's ring as (numerator, denominator) in lowest
+        terms; over F_p the denominator is 1."""
+        if not isinstance(c, int):
+            c = Fraction(c)
+        c, q = c.numerator, c.denominator
         if self.ring == "Fp":
-            if isinstance(c, Fraction):
-                if c.denominator % self.p == 0:
-                    raise ValueError("non-p-integral coefficient in Fp element")
-                return c.numerator * pow(c.denominator, -1, self.p) % self.p
-            return int(c) % self.p
-        c = Fraction(c)
-        if self.ring == "Zp" and c.denominator % self.p == 0:
-            raise ValueError(f"coefficient {c} is not integral at p={self.p}")
-        return c
-
-    def _iadd_term(self, d, c):
-        c = self._coerce(c)
-        cur = self.terms.get(d)
-        new = c if cur is None else cur + c
-        if self.ring == "Fp":
-            new %= self.p
-        if new:
-            self.terms[d] = new
-        elif cur is not None:
-            del self.terms[d]
+            if q % self.p == 0:
+                raise ValueError("non-p-integral coefficient in Fp element")
+            return c * pow(q, -1, self.p) % self.p, 1
+        if self.ring == "Zp" and q % self.p == 0:
+            raise ValueError(f"coefficient {Fraction(c, q)} is not integral "
+                             f"at p={self.p}")
+        return c, q
 
     def _check_compatible(self, other):
         if not isinstance(other, TLElement):
@@ -463,43 +464,66 @@ class TLElement:
         if (self.n, self.ring, self.p) != (other.n, other.ring, other.p):
             raise ValueError("mismatched strand count or coefficient ring")
 
-    def _raw(self, terms):
-        out = TLElement.zero(self.n, self.ring, self.p)
-        out.terms = terms
+    def _raw(self, num, den=1, n=None):
+        """An element over the same ring with these numerators and
+        denominator, taken as they are (see _reduce)."""
+        out = object.__new__(TLElement)
+        out.n = self.n if n is None else n
+        out.ring, out.p, out.num, out.den = self.ring, self.p, num, den
         return out
+
+    def _reduce(self):
+        """Bring num/den to the canonical form in place."""
+        if self.ring == "Fp":
+            p = self.p
+            self.num = {d: r for d, c in self.num.items() if (r := c % p)}
+            return self
+        num = {d: c for d, c in self.num.items() if c}
+        g = gcd(self.den, *num.values())
+        if g != 1:
+            num = {d: c // g for d, c in num.items()}
+        self.num, self.den = num, self.den // g
+        return self
+
+    @property
+    def terms(self):
+        return _Terms(self)
 
     # -- ring operations
 
-    def _accumulate(self, other, c):
-        """self.terms += c * other.terms in place; c is already coerced."""
+    def _accumulate(self, other, c=1, q=1):
+        """self += (c/q) other in place, with (c, q) from _scalar, over the
+        lcm of the denominators; _reduce restores lowest terms."""
         self._check_compatible(other)
         p = self.p if self.ring == "Fp" else None
-        terms = self.terms
-        get = terms.get
-        for d, v in other.terms.items():
+        q *= other.den
+        den = lcm(self.den, q)
+        if den != self.den:
+            k = den // self.den
+            self.num, self.den = {d: v * k for d, v in self.num.items()}, den
+        c *= den // q
+        num = self.num
+        get = num.get
+        for d, v in other.num.items():
             new = get(d, 0) + c * v
             if p is not None:
                 new %= p
             if new:
-                terms[d] = new
+                num[d] = new
             else:
-                terms.pop(d, None)
+                num.pop(d, None)
         return self
 
     def __add__(self, other):
-        return self._raw(dict(self.terms))._accumulate(other, 1)
+        return self._raw(dict(self.num), self.den)._accumulate(other)._reduce()
 
     def __sub__(self, other):
-        return self._raw(dict(self.terms))._accumulate(other, -1)
+        return self._raw(dict(self.num), self.den)._accumulate(other, -1)._reduce()
 
     def scale(self, c):
-        out = TLElement.zero(self.n, self.ring, self.p)
-        c = out._coerce(c)
-        if not c:
-            return out
-        if self.ring == "Fp":
-            return self._raw({d: co * c % self.p for d, co in self.terms.items()})
-        return self._raw({d: co * c for d, co in self.terms.items()})
+        c, q = self._scalar(c)
+        return self._raw({d: v * c for d, v in self.num.items()},
+                         self.den * q)._reduce()
 
     def __neg__(self):
         return self.scale(-1)
@@ -508,57 +532,55 @@ class TLElement:
         if not isinstance(other, TLElement):
             return self.scale(other)
         self._check_compatible(other)
-        p = self.p if self.ring == "Fp" else None
-        return self._raw(_product(self.terms, other.terms, self.n, p))
+        acc = _factored(self.num, other.num, _context(self.n))
+        return self._raw(acc, self.den * other.den)._reduce()
 
     __rmul__ = scale
 
     def star(self):
-        out = TLElement.zero(self.n, self.ring, self.p)
-        out.terms = {star_pairing(d): c for d, c in self.terms.items()}
-        return out
+        return self._raw({star_pairing(d): c for d, c in self.num.items()}, self.den)
 
     def embed(self, left: int, right: int):
         """self on the middle strands of TL_(left+n+right); see embed_pairing."""
-        out = TLElement.zero(left + self.n + right, self.ring, self.p)
-        out.terms = {embed_pairing(d, left, right): c for d, c in self.terms.items()}
-        return out
+        return self._raw({embed_pairing(d, left, right): c for d, c in self.num.items()},
+                         self.den, left + self.n + right)
 
     def __eq__(self, other):
         if not isinstance(other, TLElement):
             return NotImplemented
-        return (self.n, self.ring, self.p) == (other.n, other.ring, other.p) \
-            and self.terms == other.terms
+        return (self.n, self.ring, self.p, self.den) \
+            == (other.n, other.ring, other.p, other.den) and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, self.ring, self.p, frozenset(self.terms.items())))
+        return hash((self.n, self.ring, self.p, self.den,
+                     frozenset(self.num.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def coeff(self, pairing):
-        z = 0 if self.ring == "Fp" else Fraction(0)
-        return self.terms.get(bytes(pairing), z)
+        c = self.num.get(bytes(pairing), 0)
+        return c if self.ring == "Fp" else Fraction(c, self.den)
 
     def items(self):
         """Deterministic (pairing, coeff) iteration."""
-        return sorted(self.terms.items())
+        terms = self.terms
+        return [(d, terms[d]) for d in sorted(self.num)]
 
     def __repr__(self):
-        return f"TLElement(n={self.n}, ring={self.ring}, {len(self.terms)} terms)"
+        return f"TLElement(n={self.n}, ring={self.ring}, {len(self.num)} terms)"
 
     # -- ring changes
 
     def to_Zp(self, p):
-        return TLElement(self.n, self.terms, "Zp", p)
+        if check_odd_prime(p) and self.den % p:
+            return TLElement(self.n, None, "Zp", p)._raw(self.num, self.den)
+        return TLElement(self.n, self.terms, "Zp", p)  # raises: not p-integral
 
     def reduce_mod_p(self, p=None):
-        p = p if p is not None else self.p
-        check_odd_prime(p)
-        out = TLElement.zero(self.n, "Fp", p)
-        for d, c in self.terms.items():
-            out._iadd_term(d, c)
-        return out
+        out = TLElement(self.n, None, "Fp", self.p if p is None else p)
+        inv, _ = out._scalar(Fraction(1, self.den))  # raises if p divides den
+        return out._raw({d: c * inv for d, c in self.num.items()})._reduce()
 
     # -- serialization (schema: n, ring, p?, terms: [{pairing, coeff}])
 
@@ -574,11 +596,9 @@ class TLElement:
     @classmethod
     def from_json(cls, doc) -> "TLElement":
         ring = doc["ring"]
-        p = doc.get("p")
         parse = int if ring == "Fp" else parse_rational
-        out = cls.zero(doc["n"], ring, p)
-        for term in doc["terms"]:
-            out._iadd_term(bytes(term["pairing"]), parse(term["coeff"]))
+        out = cls.zero(doc["n"], ring, doc.get("p"))
+        out._fill((term["pairing"], parse(term["coeff"])) for term in doc["terms"])
         return out
 
 
@@ -591,8 +611,8 @@ def linear_combination(items, n, ring="Q", p=None) -> TLElement:
     TL_n over (ring, p), accumulated in one term dict."""
     out = TLElement.zero(n, ring, p)
     for c, e in items:
-        out._accumulate(e, out._coerce(c))
-    return out
+        out._accumulate(e, *out._scalar(c))
+    return out._reduce()
 
 
 def phi_word(word, n, ring="Q", p=None) -> TLElement:
@@ -875,9 +895,11 @@ def cell_action(v: CellVector, a: TLElement) -> CellVector:
         raise ValueError("strand count mismatch")
     if a.ring == "Fp":
         raise ValueError("cell modules are implemented over Q")
-    halves = {pad(half_diagram(t)): c for t, c in v.coords.items()}
-    glued = _product(a.star().terms, halves, a.n)
-    return CellVector(v.shape, cell_coords(glued, v.shape))
+    h = TLElement(a.n, {pad(half_diagram(t)): c for t, c in v.coords.items()})
+    glued = _factored(a.star().num, h.num, _context(a.n))
+    den = a.den * h.den
+    return CellVector(v.shape, {t: Fraction(c, den)
+                                for t, c in cell_coords(glued, v.shape).items()})
 
 
 def cell_matrix(a: TLElement, shape) -> dict:
@@ -898,20 +920,21 @@ def cell_representation_rank(n: int, q: int = 1_000_003) -> int:
     import numpy as np
 
     diagrams = all_matchings(n)
-    shapes = tableaux.two_column_partitions(n)
-    columns = []
-    for shape in shapes:
-        tabs = tableaux.standard_tableaux(shape)
-        columns.extend(((shape, w, u) for w in tabs for u in tabs))
-    col_index = {key: j for j, key in enumerate(columns)}
-    rows = np.zeros((len(diagrams), len(columns)), dtype=np.int64)
+    halves = [(s, u, pad(half_diagram(u))) for s in tableaux.two_column_partitions(n)
+              for u in tableaux.standard_tableaux(s)]
+    col_index = {key: j for j, key in enumerate(
+        (s, w, u) for s, w, _ in halves for s2, u, _ in halves if s2 == s)}
+    # C_u d is the one gluing d* over the padded half diagram of u: 2^loops
+    # C_w for the tableau w it reads as, or zero if it has a top arc
+    ctx = _context(n)
+    rows = np.zeros((len(diagrams), len(col_index)), dtype=np.int64)
     for r, d in enumerate(diagrams):
-        elem = TLElement(n, {d: 1})
-        for shape in shapes:
-            for (w, u), c in cell_matrix(elem, shape).items():
-                if c.denominator != 1:
-                    raise InvariantError(f"non-integral cell matrix entry {c}")
-                rows[r, col_index[(shape, w, u)]] = c.numerator % q
+        top = star_pairing(d)
+        for s, u, h in halves:
+            glued, loops = ctx.splice(top, h)
+            fr = (glued[:2 * s[0]], n)
+            if not frame_has_top_arc(fr):
+                rows[r, col_index[(s, frame_to_tableau(fr), u)]] = pow(2, loops, q)
     # Gaussian elimination mod q to row echelon form: rows below the pivot
     # are zero left of the pivot column, so only those with a nonzero entry
     # in it are updated, on the columns from the pivot onwards

@@ -782,11 +782,13 @@ def f_norm(t: Tableau) -> Fraction:
     t = tuple(t)
     ftt = f_basis_element(t, t)
     et = seminormal_idempotent(t)
-    ratios = {ftt.terms.get(d, 0) / et.terms[d] for d in et.terms}
-    if set(ftt.terms) != set(et.terms) or len(ratios) != 1 or 0 in ratios:
+    a, b = ftt.num, et.num
+    d0 = next(iter(b), None)
+    # equal supports and a[d] : b[d] the same for every d (no value is 0)
+    if d0 is None or a.keys() != b.keys() \
+            or any(a[d] * b[d0] != a[d0] * c for d, c in b.items()):
         raise InvariantError(f"f_(t,t) is not a nonzero multiple of E'_t, t={t}")
-    (g,) = ratios
-    return g
+    return Fraction(a[d0] * et.den, b[d0] * ftt.den)
 
 
 def operator_to_element(X: SeminormalOperator) -> TLElement:

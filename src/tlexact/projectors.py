@@ -69,6 +69,7 @@ class JWCache:
     def __init__(self):
         self.elements = {}
         self._unchecked = set()
+        self._synced = None  # a path whose file holds every entry
 
     def get(self, n: int) -> TLElement:
         if n < 0:
@@ -77,10 +78,12 @@ class JWCache:
         if e is None:
             e = self._compute(n)
             self.elements[n] = e
+            self._synced = None
         elif n in self._unchecked:
             self._unchecked.discard(n)
             if not _is_jones_wenzl(n, e):
                 del self.elements[n]
+                self._synced = None
                 raise CacheError(f"the cache entry for n={n} is not the "
                                  f"Jones-Wenzl projector JW_{n}")
         return e
@@ -107,20 +110,26 @@ class JWCache:
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CacheError(f"{path} is not a Jones-Wenzl cache file: "
                              f"{type(exc).__name__}: {exc}") from None
+        self._synced = os.fspath(path) if self.elements.keys() <= loaded.keys() else None
         self.elements.update(loaded)
         self._unchecked.update(loaded)
 
     def save(self, path):
         """Write every entry, atomically: a reader sees the old file or the
-        new one, never a partial write.  Raises CacheError when the file
-        cannot be written."""
+        new one, never a partial write.  A file that already holds every
+        entry (loaded, and nothing computed since) is left as it is.
+        Raises CacheError when the file cannot be written."""
+        path = os.fspath(path)
+        if path == self._synced and os.path.exists(path):
+            return
         docs = [{"n": n, "element": self.elements[n].to_json()}
                 for n in sorted(self.elements)]
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                json.dump(docs, fh)
+                json.dump(docs, fh)  # streams: json.dumps holds every chunk at once
             os.replace(tmp, path)
+            self._synced = path
         except OSError as exc:
             raise CacheError(f"cannot write the Jones-Wenzl cache {path}: "
                              f"{type(exc).__name__}: {exc}") from None
@@ -132,7 +141,7 @@ class JWCache:
 def _is_jones_wenzl(n: int, e: TLElement) -> bool:
     """Whether e is JW_n; see JWCache."""
     return (e.n == n and e.ring == "Q"
-            and all(len(d) == 2 * n and is_noncrossing(d) for d in e.terms)
+            and all(len(d) == 2 * n and is_noncrossing(d) for d in e.num)
             and e.coeff(identity_pairing(n)) == 1
             and all((TLElement.generator(i, n) * e).is_zero() for i in range(1, n)))
 
@@ -156,7 +165,8 @@ def close_rightmost(e: TLElement) -> TLElement:
     if n < 1:
         raise ValueError("nothing to close")
     out = TLElement.zero(n - 1)
-    for d, c in e.terms.items():
+    num = out.num
+    for d, c in e.num.items():
         if d[n - 1] == n:  # strand joins the two closed points: a loop
             pairs = {x: y for x, y in enumerate(d) if x < y and x != n - 1}
             coeff = 2 * c
@@ -172,8 +182,10 @@ def close_rightmost(e: TLElement) -> TLElement:
             b = y if y < n - 1 else y - 2
             new[a] = b
             new[b] = a
-        out._iadd_term(bytes(new), coeff)
-    return out
+        new = bytes(new)
+        num[new] = num.get(new, 0) + coeff
+    out.den = e.den
+    return out._reduce()
 
 
 def partial_close(n: int, k: int) -> Fraction:
@@ -212,9 +224,7 @@ def _frame_expansion(t: Tableau, cache: JWCache | None = None) -> TLElement:
         f = f * cache.get(nv).star().embed(f.n - nv, 0)
         # bend the m rightmost tops down: m more padding cups
         cups = bytes(x ^ 1 for x in range(2 * f.n, 2 * (f.n + m)))
-        bent = TLElement.zero(f.n + m)
-        bent.terms = {fr + cups: c for fr, c in f.terms.items()}
-        f = bent
+        f = f._raw({fr + cups: c for fr, c in f.num.items()}, f.den, f.n + m)
     return f
 
 
@@ -297,10 +307,10 @@ def convert_ring(e: TLElement, ring: str, p: int) -> TLElement:
     """e (over Q) over ring "Q", "Zp" or "Fp", after checking that every
     coefficient is integral at p; raises IntegralityViolationError."""
     check_odd_prime(p)
-    for c in e.terms.values():
-        if c.denominator % p == 0:
-            raise IntegralityViolationError(
-                f"coefficient {c} is not integral at {p}")
+    if e.den % p == 0:
+        # in lowest terms, p divides the reduced denominator of some term
+        c = next(c for c in e.terms.values() if c.denominator % p == 0)
+        raise IntegralityViolationError(f"coefficient {c} is not integral at {p}")
     if ring == "Q":
         return e
     if ring == "Zp":

@@ -1,5 +1,7 @@
-"""Names that code outside the package relies on, and the demos."""
+"""Names that code outside the package relies on, the demos, and the
+package source itself."""
 
+import ast
 import glob
 import importlib
 import os
@@ -37,3 +39,14 @@ def test_demos_run():
         proc = subprocess.run([sys.executable, demo], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, ""), demo
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so no guard may rely on one
+    files = sorted(glob.glob(os.path.join(ROOT, "src", "tlexact", "*.py")))
+    assert files
+    for path in files:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path, lines)

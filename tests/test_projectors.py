@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,29 @@ def test_cache_round_trip(tmp_path):
     docs = json.loads(path.read_text())
     assert {doc["n"] for doc in docs} == set(cache.elements)
     assert all("terms" in doc["element"] for doc in docs)
+
+
+def test_cache_save_writes_only_new_entries(tmp_path):
+    path = tmp_path / "jw-cache.json"
+    first = P.JWCache()
+    first.get(4)
+    first.save(path)
+    docs = [{"n": n, "element": first.elements[n].to_json()}
+            for n in sorted(first.elements)]
+    assert path.read_text() == json.dumps(docs)
+    before = os.stat(path)
+    # load, take a stored entry, save: the file is not rewritten
+    cache = P.JWCache()
+    cache.load(path)
+    assert cache.get(4) == first.elements[4]
+    cache.save(path)
+    after = os.stat(path)
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+    # computing a new n rewrites it
+    cache.get(5)
+    cache.save(path)
+    assert os.stat(path).st_ino != before.st_ino
+    assert {doc["n"] for doc in json.loads(path.read_text())} == {1, 2, 3, 4, 5}
 
 
 def test_seminormal_vector_examples():

@@ -1,11 +1,14 @@
-"""Property tests of the factored element product against strand tracing.
+"""Property tests of the factored element product against strand tracing,
+and of the canonical integer-numerator form of elements.
 
 The reference product glues every diagram pair with compose_pairings, the
-independent strand tracer, and weights it by 2^loops.
+independent strand tracer, and weights it by 2^loops; it reads the
+coefficients through the ``terms`` view, not the numerators.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +86,28 @@ def test_associativity(abc):
 def test_star_is_an_anti_automorphism(ab):
     a, b = ab
     assert (a * b).star() == b.star() * a.star()
+
+
+def assert_canonical(e: TLElement):
+    assert e.den > 0 and gcd(e.den, *e.num.values()) == 1
+    assert all(e.num.values())
+    if e.ring == "Fp":
+        assert e.den == 1 and all(0 < c < e.p for c in e.num.values())
+    again = TLElement(e.n, e.terms, e.ring, e.p)
+    assert again == e and hash(again) == hash(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_tuples(2, max_n=6), st.integers(0, 2), st.integers(0, 2))
+def test_operations_keep_the_canonical_form(ab, left, right):
+    a, b = ab
+    for e in (a, b, a * b, a + b, a - b, a - a, a.scale(Fraction(-3, 4)),
+              a.scale(0), a.star(), a.embed(left, right)):
+        assert_canonical(e)
+    if a.ring == "Q":
+        assert_canonical(a.scale(Fraction(6, 5)))
+    assert a.scale(2).scale(Fraction(1, 2)) == a
+    assert a - a == TLElement.zero(a.n, a.ring, a.p)
 
 
 @st.composite
