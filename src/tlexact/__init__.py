@@ -11,6 +11,7 @@ chain.
 """
 
 from .coeffs import (
+    IntegralityViolationError,
     InvalidPrimeError,
     InvariantError,
     ReductionUndefinedError,
@@ -20,7 +21,6 @@ from .coeffs import (
 from .diagrams import CellVector, TLElement, catalan, cell_action, element_to_str
 from .projectors import (
     CacheError,
-    IntegralityViolationError,
     JWCache,
     class_idempotent,
     gamma,

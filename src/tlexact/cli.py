@@ -26,11 +26,11 @@ import json
 import os
 import sys
 
-from .coeffs import InvalidPrimeError, check_odd_prime
+from .coeffs import IntegralityViolationError, InvalidPrimeError, check_odd_prime
 from . import tableaux
 from .diagrams import element_to_str
 from . import projectors
-from .projectors import CacheError, IntegralityViolationError
+from .projectors import CacheError
 from . import klr
 
 # the full diagram expansion of the recursive construction is kept
@@ -94,7 +94,7 @@ def _in_ring(e, args):
     if args.ring == "Q":
         return e
     _require(args, "p")
-    return projectors.convert_ring(e, args.ring, args.p)
+    return e.in_ring(args.ring, args.p)
 
 
 def _cmd_jw(args):
@@ -103,7 +103,7 @@ def _cmd_jw(args):
     if args.n >= 10:
         _progress(f"expanding the Jones-Wenzl projector at n={args.n}; "
                   "this is the slow path")
-    e = projectors.jones_wenzl(args.n, cache)
+    e = projectors.jones_wenzl(args.n)
     _save_cache(cache, path)
     _print_element(e, args.json)
     return 0

@@ -26,6 +26,13 @@ class InvariantError(ValueError):
     """An identity that the construction guarantees failed to hold."""
 
 
+class IntegralityViolationError(ValueError, ArithmeticError):
+    """An element asked for over Z_(p) or F_p has a coefficient with p in
+    its denominator.  For the class idempotents and the p-Jones-Wenzl
+    idempotent the general theory rules this out, so there it signals a
+    bug; a single seminormal idempotent need not be p-integral."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all inputs below 3.3 * 10^24."""
     if n < 2:

@@ -34,6 +34,9 @@ p-integral) or "Fp" (integers mod p).  An element holds integer numerators
 over one common denominator in lowest terms (1 over F_p), so a product
 multiplies plain integers and reduces once; Fractions appear only at the
 API edge (``coeff``, ``items``, ``terms``, the JSON and string forms).
+``in_ring`` is the one ring conversion and p-integrality check.  The
+Jucys-Murphy elements come from Murphy's recursion (``jucys_murphy``),
+which :mod:`tlexact.klr` runs on its seminormal operators too.
 
 The module also provides the half-diagram machinery: "frames" are planar
 matchings of n bottom and S top points, used both for the cell modules and
@@ -51,7 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .coeffs import InvariantError, format_rational, parse_rational, check_odd_prime
+from .coeffs import (IntegralityViolationError, InvariantError, check_odd_prime,
+                     format_rational, parse_rational)
 from . import tableaux
 from .tableaux import Tableau
 
@@ -572,15 +576,30 @@ class TLElement:
 
     # -- ring changes
 
-    def to_Zp(self, p):
-        if check_odd_prime(p) and self.den % p:
-            return TLElement(self.n, None, "Zp", p)._raw(self.num, self.den)
-        return TLElement(self.n, self.terms, "Zp", p)  # raises: not p-integral
+    def in_ring(self, ring, p):
+        """This element over ring "Q", "Zp" or "Fp", after checking that
+        every coefficient is integral at the odd prime p.  The source is over
+        Q, or over Z_(p) at the same p; raises IntegralityViolationError."""
+        check_odd_prime(p)
+        if self.ring == "Fp" or self.p not in (None, p):
+            raise ValueError(f"cannot convert an element over {self.ring} at "
+                             f"p={self.p} to a ring at p={p}")
+        if self.den % p == 0:
+            # in lowest terms, p divides the reduced denominator of some term
+            c = next(c for c in self.terms.values() if c.denominator % p == 0)
+            raise IntegralityViolationError(f"coefficient {c} is not integral at {p}")
+        if ring == "Fp":
+            inv = pow(self.den, -1, p)
+            return TLElement(self.n, None, "Fp", p)._raw(
+                {d: c * inv for d, c in self.num.items()})._reduce()
+        return self if ring == self.ring else TLElement(
+            self.n, None, ring, p if ring == "Zp" else None)._raw(self.num, self.den)
 
-    def reduce_mod_p(self, p=None):
-        out = TLElement(self.n, None, "Fp", self.p if p is None else p)
-        inv, _ = out._scalar(Fraction(1, self.den))  # raises if p divides den
-        return out._raw({d: c * inv for d, c in self.num.items()})._reduce()
+    def to_Zp(self, p):
+        return self.in_ring("Zp", p)
+
+    def reduce_mod_p(self, p):
+        return self.in_ring("Fp", p)
 
     # -- serialization (schema: n, ring, p?, terms: [{pairing, coeff}])
 
@@ -633,30 +652,27 @@ def phi(terms, n, ring="Q", p=None) -> TLElement:
                               n, ring, p)
 
 
-def transposition_word(j, i) -> tuple:
-    """The palindromic reduced word s_j s_(j+1) .. s_(i-1) .. s_(j+1) s_j
-    for the transposition (j i), j < i."""
-    if not j < i:
-        raise ValueError("need j < i")
-    up = list(range(j, i))
-    return tuple(up + up[-2::-1])
+def jucys_murphy(s, zero) -> tuple:
+    """The images (L_1, ..., L_m) of the sums (1 i) + ... + (i-1 i), given
+    the images s of s_1, ..., s_(m-1) in any algebra with * and +: L_1 = zero
+    and Murphy's recursion L_(i+1) = s_i L_i s_i + s_i."""
+    jms = [zero]
+    for si in s:
+        jms.append(si * jms[-1] * si + si)
+    return tuple(jms)
 
 
 @lru_cache(maxsize=None)
-def _jm_cached(i: int, n: int):
+def _jms(n: int) -> tuple:
+    return jucys_murphy([phi_word((i,), n) for i in range(1, n)], TLElement.zero(n))
+
+
+def jm_element(i: int, n: int) -> TLElement:
+    """The i-th Jucys-Murphy element of TL_n over Q: the image under phi of
+    (1 i) + ... + (i-1 i), by Murphy's recursion; zero for i = 1."""
     if not 1 <= i <= n:
         raise IndexError(f"JM index {i} out of range 1..{n}")
-    return linear_combination(((1, phi_word(transposition_word(j, i), n))
-                               for j in range(1, i)), n)
-
-
-def jm_element(i: int, n: int, ring="Q", p=None) -> TLElement:
-    """The i-th Jucys-Murphy element: the image under phi of the sum of
-    transpositions (1 i) + ... + (i-1 i); zero for i = 1."""
-    e = _jm_cached(i, n)
-    if ring == "Q":
-        return e
-    return TLElement(n, e.terms, ring, p)
+    return _jms(n)[i - 1]
 
 
 @lru_cache(maxsize=None)
@@ -685,14 +701,14 @@ def diagram_words(n: int) -> dict:
     return words
 
 
-def element_to_str(e: TLElement, max_word_n: int = 8) -> str:
-    """Human-readable form: u-generator monomials when n is small enough to
-    factor diagrams (identity printed as "1"), pairing lists otherwise."""
+def element_to_str(e: TLElement) -> str:
+    """Human-readable form: u-generator monomials for n <= 8 (identity
+    printed as "1"), pairing lists otherwise."""
     if e.is_zero():
         return "0"
     fmt = str if e.ring == "Fp" else format_rational
     parts = []
-    if e.n <= max_word_n:
+    if e.n <= 8:
         words = diagram_words(e.n)
         keyed = sorted(((len(words[d]), words[d]), d, c) for d, c in e.terms.items())
         for (_, word), _, c in keyed:
@@ -913,12 +929,13 @@ def cell_matrix(a: TLElement, shape) -> dict:
     return mat
 
 
-def cell_representation_rank(n: int, q: int = 1_000_003) -> int:
-    """Rank mod q of the map sending a diagram to the tuple of its cell-
-    module matrices over all shapes.  Full rank (= Catalan(n)) certifies
+def cell_representation_rank(n: int) -> int:
+    """Rank mod q = 1000003 of the map sending a diagram to the tuple of its
+    cell-module matrices over all shapes.  Full rank (= Catalan(n)) certifies
     that the direct sum of cell modules is a faithful representation."""
     import numpy as np
 
+    q = 1_000_003
     diagrams = all_matchings(n)
     halves = [(s, u, pad(half_diagram(u))) for s in tableaux.two_column_partitions(n)
               for u in tableaux.standard_tableaux(s)]

@@ -24,7 +24,8 @@ On top of the generator actions the module builds the diamond operators
 alone), the induced inclusion of a smaller Temperley-Lieb algebra sending
 u_i to the i-th diamond, the small-algebra Jucys-Murphy operators, and
 the recursive construction of the p-Jones-Wenzl idempotent along the
-base-p radix chain.
+base-p radix chain.  Operators multiply with ``*`` (``op_product``), so the
+small JM operators and their interpolation reuse the element-level code.
 Relation checkers certify the whole calculus numerically: the full KLR
 relation suite, the closed diamond action formulas, and the final
 recursive = direct comparison.
@@ -43,9 +44,9 @@ from .diagrams import (
     diagram_words,
     half_diagram,
     identity_pairing,
+    jucys_murphy,
     linear_combination,
     sandwich,
-    transposition_word,
 )
 from . import projectors
 from .projectors import jones_wenzl, seminormal_idempotent
@@ -108,6 +109,9 @@ class SeminormalOperator:
 
     def __sub__(self, other):
         return self + other.scale(-1)
+
+    def __mul__(self, other):
+        return op_product(self, other)
 
     def scale(self, c):
         c = Fraction(c)
@@ -719,20 +723,20 @@ def iota_klr(x: TLElement, n: int, p: int, side: str = "left",
     return out
 
 
+@lru_cache(maxsize=None)
+def _small_jms(n: int, p: int, side: str) -> tuple:
+    e = truncation_idempotent(n, p, side)
+    return jucys_murphy([diamond(i, n, p, side) - e for i in range(1, n2_of(n, p))],
+                        op_zero(n, p, side))
+
+
 def small_jm(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
-    """The Jucys-Murphy operators of the included small algebra: the image
-    of the transposition sum, each transposition expanded as the palindrome
-    in the diamonds with the class idempotent as unit."""
+    """The Jucys-Murphy operators of the included small algebra, by Murphy's
+    recursion in s_j = diamond_j - e, e the class idempotent as unit."""
     n2 = n2_of(n, p)
     if not 1 <= i <= n2:
         raise IndexError(f"index {i} out of range 1..{n2}")
-    e = truncation_idempotent(n, p, side)
-    out = op_zero(n, p, side)
-    for j in range(1, i):
-        factors = [diamond(w, n, p, side) - e
-                   for w in transposition_word(j, i)]
-        out = out + op_word_product(factors)
-    return out
+    return _small_jms(n, p, side)[i - 1]
 
 
 def iota_seminormal_idempotent(s: Tableau, n: int, p: int,
@@ -743,17 +747,8 @@ def iota_seminormal_idempotent(s: Tableau, n: int, p: int,
     n2 = n2_of(n, p)
     if len(s) != n2:
         raise ValueError(f"tableau size {len(s)} != n2 = {n2}")
-    e = truncation_idempotent(n, p, side)
-    cs = projectors.content_set(n2)
-    cont = tableaux.contents(s)
-    out = e
-    for i in range(1, n2 + 1):
-        li = small_jm(i, n, p, side) if i > 1 else op_zero(n, p, side)
-        for c in cs:
-            if c == cont[i - 1]:
-                continue
-            out = op_product(out, li - e.scale(c)).scale(Fraction(1, cont[i - 1] - c))
-    return out
+    return projectors.jm_interpolation(_small_jms(n, p, side), tableaux.contents(s),
+                                       truncation_idempotent(n, p, side))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ yields the idempotent
 
 which projects onto the simultaneous Jucys-Murphy eigenvector with
 eigenvalues the contents of t.  The independent oracle for E'_t is the
-JM interpolation product over the full content set.
+JM interpolation product over the full content set (``jm_interpolation``,
+which :mod:`tlexact.klr` runs on the small JM operators too).
 
 Summing E'_t over a p-class gives the class idempotents, whose coefficients
 are provably integral at p; summing over the tableaux indexed by the base-p
@@ -36,18 +37,11 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeffs import check_odd_prime
+from .coeffs import IntegralityViolationError, check_odd_prime  # the error is re-exported
 from . import tableaux
 from .tableaux import Tableau
 from .diagrams import (CellVector, TLElement, cell_coords, identity_pairing,
-                       is_noncrossing, linear_combination)
-
-
-class IntegralityViolationError(ArithmeticError):
-    """An element asked for over Z_(p) or F_p has a coefficient with p in
-    its denominator.  For the class idempotents and the p-Jones-Wenzl
-    idempotent the general theory rules this out, so there it signals a
-    bug; a single seminormal idempotent need not be p-integral."""
+                       is_noncrossing, jm_element, linear_combination)
 
 
 class CacheError(ValueError):
@@ -153,8 +147,8 @@ def default_cache() -> JWCache:
     return _default_cache
 
 
-def jones_wenzl(n: int, cache: JWCache | None = None) -> TLElement:
-    return (cache or _default_cache).get(n)
+def jones_wenzl(n: int) -> TLElement:
+    return _default_cache.get(n)
 
 
 def close_rightmost(e: TLElement) -> TLElement:
@@ -210,29 +204,28 @@ def gamma(t: Tableau) -> Fraction:
     return out
 
 
-def _frame_expansion(t: Tableau, cache: JWCache | None = None) -> TLElement:
+def _frame_expansion(t: Tableau) -> TLElement:
     """Expand the nested-projector picture of f_t as a combination of
     padded frames in TL_n (n bottom and l1-l2 top points, top arcs
     included: those terms vanish in the cell module but contribute to the
     idempotent).  Each stage is one product with the reflected JW box on
     the rightmost strands."""
-    cache = cache or _default_cache
     bd = tableaux.block_decomposition(t)
     f = TLElement.one(0)
     for (d, m), nv in zip(bd.runs, bd.n_values):
         f = f.embed(0, d)
-        f = f * cache.get(nv).star().embed(f.n - nv, 0)
+        f = f * _default_cache.get(nv).star().embed(f.n - nv, 0)
         # bend the m rightmost tops down: m more padding cups
         cups = bytes(x ^ 1 for x in range(2 * f.n, 2 * (f.n + m)))
         f = f._raw({fr + cups: c for fr, c in f.num.items()}, f.den, f.n + m)
     return f
 
 
-def seminormal_vector(t: Tableau, cache: JWCache | None = None) -> CellVector:
+def seminormal_vector(t: Tableau) -> CellVector:
     """f_t as an element of the cell module of shape(t): the frame
     expansion with higher-cell terms (top arcs) dropped."""
     shape = tableaux.shape_of(t)
-    return CellVector(shape, cell_coords(_frame_expansion(t, cache).terms, shape))
+    return CellVector(shape, cell_coords(_frame_expansion(t).terms, shape))
 
 
 def _sandwich(t: Tableau) -> TLElement:
@@ -271,53 +264,31 @@ def content_set(n: int) -> tuple:
     return tuple(sorted(vals))
 
 
-def idempotent_by_products(t: Tableau, n: int | None = None) -> TLElement:
-    """The JM interpolation formula for the projector onto the common
-    eigenvector with eigenvalues the contents of t:
+def jm_interpolation(jms, cont, one):
+    """The projector onto the common eigenvector of the JM elements jms =
+    (L_1, ..., L_m) with eigenvalues cont = (c_1, ..., c_m), in any algebra
+    with *, - and scale whose unit is ``one``:
 
-        prod over contents c and entries i with c != c_t(i) of
-        (L_i - c) / (c_t(i) - c).
-
-    Independent of the nested-projector construction; used as its oracle.
-    """
-    from .diagrams import jm_element
-
-    n = len(t) if n is None else n
-    if n != len(t):
-        raise ValueError("tableau size must equal n")
-    cs = content_set(n)
-    cont = tableaux.contents(t)
-    out = TLElement.one(n)
-    for i in range(1, n + 1):
-        li = jm_element(i, n)
-        # polynomial in L_i: prod over c != c_t(i) of (L_i - c)/(c_t(i) - c)
+        prod over i and over c != c_i in content_set(m) of (L_i - c) / (c_i - c)."""
+    cs = content_set(len(cont))
+    out = one
+    for li, ci in zip(jms, cont):
         for c in cs:
-            if c == cont[i - 1]:
-                continue
-            one = TLElement.one(n)
-            out = out * (li - one.scale(c)).scale(Fraction(1, cont[i - 1] - c))
+            if c != ci:
+                out = out * (li - one.scale(c)).scale(Fraction(1, ci - c))
     return out
+
+
+def idempotent_by_products(t: Tableau) -> TLElement:
+    """E'_t by jm_interpolation in the JM elements of TL_n.  Independent of
+    the nested-projector construction; used as its oracle."""
+    n = len(t)
+    return jm_interpolation([jm_element(i, n) for i in range(1, n + 1)],
+                            tableaux.contents(t), TLElement.one(n))
 
 
 # ---------------------------------------------------------------------------
 # class idempotents and the direct p-Jones-Wenzl construction
-
-
-def convert_ring(e: TLElement, ring: str, p: int) -> TLElement:
-    """e (over Q) over ring "Q", "Zp" or "Fp", after checking that every
-    coefficient is integral at p; raises IntegralityViolationError."""
-    check_odd_prime(p)
-    if e.den % p == 0:
-        # in lowest terms, p divides the reduced denominator of some term
-        c = next(c for c in e.terms.values() if c.denominator % p == 0)
-        raise IntegralityViolationError(f"coefficient {c} is not integral at {p}")
-    if ring == "Q":
-        return e
-    if ring == "Zp":
-        return e.to_Zp(p)
-    if ring == "Fp":
-        return e.reduce_mod_p(p)
-    raise ValueError(f"unknown ring {ring!r}")
 
 
 def class_idempotent(cls, p: int, ring: str = "Q") -> TLElement:
@@ -331,7 +302,7 @@ def class_idempotent(cls, p: int, ring: str = "Q") -> TLElement:
     if tuple(cls) != tuple(expected):
         raise ValueError("input is not a full p-class")
     out = linear_combination(((1, seminormal_idempotent(s)) for s in cls), n)
-    return convert_ring(out, ring, p)
+    return out.in_ring(ring, p)
 
 
 def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
@@ -342,4 +313,4 @@ def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
     out = linear_combination(
         ((1, seminormal_idempotent(tableaux.tableau_from_index(m, n, p)))
          for m in sorted(tableaux.index_set(n, p))), n)
-    return convert_ring(out, ring, p)
+    return out.in_ring(ring, p)

@@ -5,6 +5,7 @@ import pytest
 
 from tlexact import tableaux as T
 from tlexact import diagrams as D
+from tlexact.coeffs import IntegralityViolationError
 from tlexact.diagrams import TLElement
 
 
@@ -95,6 +96,18 @@ def test_jm_elements():
             assert a.star() == a
             for b in els:
                 assert a * b == b * a
+
+
+def test_jm_recursion_matches_the_palindrome_sums():
+    # oracle: L_i as the sum over j < i of phi of the palindromic reduced
+    # word s_j s_(j+1) .. s_(i-1) .. s_(j+1) s_j of the transposition (j i)
+    for n in range(1, 9):
+        for i in range(1, n + 1):
+            oracle = TLElement.zero(n)
+            for j in range(1, i):
+                up = list(range(j, i))
+                oracle = oracle + D.phi_word(up + up[-2::-1], n)
+            assert D.jm_element(i, n) == oracle, (i, n)
 
 
 def test_half_diagram_examples():
@@ -204,6 +217,36 @@ def test_ring_guards():
         TLElement.one(2).to_Zp(3).__add__(TLElement.one(2))
     with pytest.raises(ValueError):
         TLElement(2, {D.identity_pairing(2): Fraction(1, 3)}, "Zp", 3)
+
+
+def test_ring_conversion_starts_over_q_or_zp_at_the_same_prime():
+    # over F_3, 2 is the residue of -1: it has no meaning mod 5
+    e = TLElement.one(2, "Fp", 3).scale(2)
+    zp = TLElement.one(2).scale(Fraction(-1, 2)).to_Zp(3)
+    for x in (e, zp):
+        for convert in (x.to_Zp, x.reduce_mod_p):
+            with pytest.raises(ValueError, match="cannot convert"):
+                convert(5)
+    with pytest.raises(ValueError, match="cannot convert"):
+        e.reduce_mod_p(3)
+    assert zp.reduce_mod_p(3) == TLElement.one(2, "Fp", 3)
+    assert zp.in_ring("Q", 3) == TLElement.one(2).scale(Fraction(-1, 2))
+    assert zp.to_Zp(3) is zp
+
+
+def test_ring_conversion_raises_one_integrality_error():
+    x = TLElement(2, {D.identity_pairing(2): Fraction(1, 3),
+                      D.generator_pairing(1, 2): Fraction(2, 5)})
+    for ring in ("Q", "Zp", "Fp"):
+        with pytest.raises(IntegralityViolationError,
+                           match="^coefficient 1/3 is not integral at 3$") as info:
+            x.in_ring(ring, 3)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, ArithmeticError)
+    for convert in (x.to_Zp, x.reduce_mod_p):
+        with pytest.raises(IntegralityViolationError):
+            convert(5)
+    assert x.in_ring("Q", 7) is x
 
 
 def test_fp_arithmetic():

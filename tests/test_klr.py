@@ -551,6 +551,44 @@ def test_small_jm_basics():
             == K.small_jm(i, n, p, "right").action
 
 
+def test_small_jm_recursion_matches_the_palindrome_sums():
+    # oracle: L_i as the sum over j < i of the palindromic reduced word of
+    # the transposition (j i) in the factors diamond_w - e
+    for (n, p) in [(11, 3), (14, 5)]:
+        for side in ("left", "right"):
+            e = K.truncation_idempotent(n, p, side)
+            for i in range(1, K.n2_of(n, p) + 1):
+                oracle = K.op_zero(n, p, side)
+                for j in range(1, i):
+                    up = list(range(j, i))
+                    oracle = oracle + K.op_word_product(
+                        [K.diamond(w, n, p, side) - e for w in up + up[-2::-1]])
+                assert K.small_jm(i, n, p, side) == oracle, (n, p, side, i)
+
+
+def test_small_jm_eigenvalues_past_the_full_basis():
+    # criterion 7's eigenvalue check at (33,3), where n2 = 10, on the class
+    # alone: L_i acts on each member t by the i-th content of collapse(t)
+    n, p = 33, 3
+    cls = T.class_of_one_column(n, p)
+    for side in ("left", "right"):
+        for i in range(1, K.n2_of(n, p) + 1):
+            want = {}
+            for t in cls:
+                c = T.content(T.collapse(t, p)[0], i)
+                if c:
+                    want[t] = {t: Fraction(c)}
+            assert K.small_jm(i, n, p, side).action == want, (side, i)
+
+
+def test_operator_product_needs_one_side():
+    n, p = 4, 3
+    left, right = K.act_u(1, n, p, "left"), K.act_u(1, n, p, "right")
+    assert left * left == K.op_product(left, left)
+    with pytest.raises(ValueError):
+        left * right
+
+
 def test_iota_on_idempotents_fibers():
     n, p = 8, 3
     n2 = K.n2_of(n, p)
