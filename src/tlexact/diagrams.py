@@ -449,17 +449,16 @@ class TLElement:
 
     def _scalar(self, c):
         """c in the element's ring as (numerator, denominator) in lowest
-        terms; over F_p the denominator is 1."""
+        terms; over F_p the denominator is 1.  Raises
+        IntegralityViolationError, as in_ring does, if p divides q."""
         if not isinstance(c, int):
             c = Fraction(c)
         c, q = c.numerator, c.denominator
+        if self.p is not None and q % self.p == 0:
+            raise IntegralityViolationError(
+                f"coefficient {Fraction(c, q)} is not integral at {self.p}")
         if self.ring == "Fp":
-            if q % self.p == 0:
-                raise ValueError("non-p-integral coefficient in Fp element")
             return c * pow(q, -1, self.p) % self.p, 1
-        if self.ring == "Zp" and q % self.p == 0:
-            raise ValueError(f"coefficient {Fraction(c, q)} is not integral "
-                             f"at p={self.p}")
         return c, q
 
     def _check_compatible(self, other):

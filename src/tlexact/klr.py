@@ -747,7 +747,8 @@ def iota_seminormal_idempotent(s: Tableau, n: int, p: int,
     n2 = n2_of(n, p)
     if len(s) != n2:
         raise ValueError(f"tableau size {len(s)} != n2 = {n2}")
-    return projectors.jm_interpolation(_small_jms(n, p, side), tableaux.contents(s),
+    jms = [small_jm(i, n, p, side) for i in range(1, n2 + 1)]
+    return projectors.jm_interpolation(jms, tableaux.contents(s),
                                        truncation_idempotent(n, p, side))
 
 

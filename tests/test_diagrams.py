@@ -247,6 +247,13 @@ def test_ring_conversion_raises_one_integrality_error():
         with pytest.raises(IntegralityViolationError):
             convert(5)
     assert x.in_ring("Q", 7) is x
+    for ring in ("Zp", "Fp"):
+        one = TLElement.one(2, ring, 3)
+        for build in (lambda: one.scale(Fraction(1, 3)),
+                      lambda: TLElement(2, {D.identity_pairing(2): Fraction(1, 3)}, ring, 3)):
+            with pytest.raises(IntegralityViolationError,
+                               match="^coefficient 1/3 is not integral at 3$"):
+                build()
 
 
 def test_fp_arithmetic():
