@@ -14,7 +14,6 @@ from .coeffs import (
     IntegralityViolationError,
     InvalidPrimeError,
     InvariantError,
-    ReductionUndefinedError,
     is_p_integral,
     reduce_mod_p,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "IntegralityViolationError",
     "InvariantError",
     "JWCache",
-    "ReductionUndefinedError",
     "SeminormalOperator",
     "TLElement",
     "act_e",

@@ -111,8 +111,10 @@ def _cmd_jw(args):
 
 def _cmd_pjw(args):
     _require(args, "n", "p")
-    cache, path = _load_cache(args)
     method = args.method
+    if method != "direct" and args.n < args.p:
+        raise UsageError("the recursive construction needs n >= p")
+    cache, path = _load_cache(args)
     expand = args.n <= _EXPAND_LIMIT or args.slow_expand
     status = 0
     direct = recursive = None

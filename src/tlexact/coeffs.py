@@ -18,10 +18,6 @@ class InvalidPrimeError(ValueError):
     """The given modulus is not an odd prime."""
 
 
-class ReductionUndefinedError(ValueError):
-    """Reduction mod p of a rational whose reduced denominator p divides."""
-
-
 class InvariantError(ValueError):
     """An identity that the construction guarantees failed to hold."""
 
@@ -31,6 +27,9 @@ class IntegralityViolationError(ValueError, ArithmeticError):
     its denominator.  For the class idempotents and the p-Jones-Wenzl
     idempotent the general theory rules this out, so there it signals a
     bug; a single seminormal idempotent need not be p-integral."""
+
+    def __init__(self, q, p: int):
+        super().__init__(f"coefficient {q} is not integral at {p}")
 
 
 def is_prime(n: int) -> bool:
@@ -76,7 +75,7 @@ def reduce_mod_p(q, p: int) -> int:
     check_odd_prime(p)
     q = Fraction(q)
     if q.denominator % p == 0:
-        raise ReductionUndefinedError(f"{q} is not integral at p={p}")
+        raise IntegralityViolationError(q, p)
     return q.numerator * pow(q.denominator, -1, p) % p
 
 

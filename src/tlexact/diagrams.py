@@ -318,15 +318,9 @@ def _cap(half: bytes, caps: bytes) -> bytes:
     return bytes(out)
 
 
-_mul_contexts: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _context(n: int) -> _MulContext:
-    ctx = _mul_contexts.get(n)
-    if ctx is None:
-        ctx = _MulContext(n)
-        _mul_contexts[n] = ctx
-    return ctx
+    return _MulContext(n)
 
 
 def _factored(a: dict, b: dict, ctx: _MulContext) -> dict:
@@ -455,8 +449,7 @@ class TLElement:
             c = Fraction(c)
         c, q = c.numerator, c.denominator
         if self.p is not None and q % self.p == 0:
-            raise IntegralityViolationError(
-                f"coefficient {Fraction(c, q)} is not integral at {self.p}")
+            raise IntegralityViolationError(Fraction(c, q), self.p)
         if self.ring == "Fp":
             return c * pow(q, -1, self.p) % self.p, 1
         return c, q
@@ -586,7 +579,7 @@ class TLElement:
         if self.den % p == 0:
             # in lowest terms, p divides the reduced denominator of some term
             c = next(c for c in self.terms.values() if c.denominator % p == 0)
-            raise IntegralityViolationError(f"coefficient {c} is not integral at {p}")
+            raise IntegralityViolationError(c, p)
         if ring == "Fp":
             inv = pow(self.den, -1, p)
             return TLElement(self.n, None, "Fp", p)._raw(
@@ -908,13 +901,10 @@ def cell_action(v: CellVector, a: TLElement) -> CellVector:
     l1, l2 = v.shape
     if l1 + l2 != a.n:
         raise ValueError("strand count mismatch")
-    if a.ring == "Fp":
+    if a.ring != "Q":
         raise ValueError("cell modules are implemented over Q")
     h = TLElement(a.n, {pad(half_diagram(t)): c for t, c in v.coords.items()})
-    glued = _factored(a.star().num, h.num, _context(a.n))
-    den = a.den * h.den
-    return CellVector(v.shape, {t: Fraction(c, den)
-                                for t, c in cell_coords(glued, v.shape).items()})
+    return CellVector(v.shape, cell_coords((a.star() * h).terms, v.shape))
 
 
 def cell_matrix(a: TLElement, shape) -> dict:

@@ -8,10 +8,12 @@ generators act by explicit combinatorial rules:
   sequence i;
 * y_l acts by the nilpotent part c(l) - (c(l) mod p) of the l-th
   Jucys-Murphy element;
-* psi_k sends f_(s,a) to beta_s(k) f_(s*s_k, a), plus a correction
-  -(1/r) f_(s,a) when the residues at k, k+1 agree, where r is the content
-  difference at k and beta is built from the canonical seminormal
-  coefficient system alpha in {1, (r^2-1)/r^2, 0}.
+* psi_k sends f_(s,a) to beta f_(s*s_k, a) on the left and f_(a,s) to
+  beta f_(a, s*s_k) on the right, plus -(1/r) times itself if i_k = i_(k+1).
+  With r the content difference at k, alpha in {1, (r^2-1)/r^2, 0} the
+  canonical seminormal coefficient, sign = +1 (left) or -1 (right) and
+  sr = sign * r, beta is alpha/(1 - sr) if i_k = i_(k+1), alpha * sr if
+  i_k = i_(k+1) + sign mod p, and alpha * sr/(1 - sr) otherwise.
 
 Because the rules touch one side of the pair at a time, operators here are
 linear maps on single tableau indices together with a side tag; a left
@@ -21,8 +23,9 @@ indices, with exact rational coefficients throughout.
 
 On top of the generator actions the module builds the diamond operators
 (idempotent-truncated block swaps, computed on the one-column p-class
-alone), the induced inclusion of a smaller Temperley-Lieb algebra sending
-u_i to the i-th diamond, the small-algebra Jucys-Murphy operators, and
+alone; the right closed form is the left one with 1/X for the exchange
+coefficient X), the induced inclusion of a smaller Temperley-Lieb algebra
+sending u_i to the i-th diamond, the small-algebra Jucys-Murphy operators, and
 the recursive construction of the p-Jones-Wenzl idempotent along the
 base-p radix chain.  Operators multiply with ``*`` (``op_product``), so the
 small JM operators and their interpolation reuse the element-level code.
@@ -43,7 +46,6 @@ from .diagrams import (
     TLElement,
     diagram_words,
     half_diagram,
-    identity_pairing,
     jucys_murphy,
     linear_combination,
     sandwich,
@@ -127,9 +129,6 @@ class SeminormalOperator:
         return (self.n, self.p, self.side) == (other.n, other.p, other.side) \
             and self.action == other.action
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def is_zero(self):
         return not self.action
 
@@ -161,9 +160,7 @@ def op_zero(n, p, side) -> SeminormalOperator:
 
 
 def op_identity(n, p, side) -> SeminormalOperator:
-    return SeminormalOperator(n, p, side,
-                              {s: {s: Fraction(1)}
-                               for s in tableaux.all_standard_tableaux(n)})
+    return op_projection(tableaux.all_standard_tableaux(n), n, p, side)
 
 
 def op_projection(tabs, n, p, side) -> SeminormalOperator:
@@ -187,9 +184,8 @@ def op_product(x: SeminormalOperator, y: SeminormalOperator) -> SeminormalOperat
 
 def op_word_product(ops) -> SeminormalOperator:
     """Operator of the algebra product ops[0] * ops[1] * ... (at least one)."""
-    ops = list(ops)
-    out = ops[0]
-    for o in ops[1:]:
+    out, *rest = ops
+    for o in rest:
         out = op_product(out, o)
     return out
 
@@ -234,9 +230,9 @@ def _alpha(s: Tableau, k: int, t, r: int) -> Fraction:
 
 def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
     """The image of the acted-side index s under psi_k as a sparse vector:
-    the beta (left) or beta-tilde (right) coefficient on s*s_k, plus the
-    -1/r diagonal term when the residues at k, k+1 agree.  The caller has
-    checked that p is an odd prime."""
+    the beta (left) or beta-tilde (right) coefficient on s*s_k (module
+    docstring), plus the -1/r diagonal term when the residues at k, k+1
+    agree.  The caller has checked that p is an odd prime."""
     cont = tableaux.contents(s)
     r = cont[k - 1] - cont[k]
     ik, ik1 = cont[k - 1] % p, cont[k] % p
@@ -244,20 +240,14 @@ def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
     alpha = _alpha(s, k, t, r)
     out = {}
     if alpha:
-        if side == "left":
-            if ik == ik1:
-                beta = alpha / (1 - r)
-            elif ik == (ik1 + 1) % p:
-                beta = alpha * r
-            else:
-                beta = alpha * r / (1 - r)
+        sign = 1 if side == "left" else -1
+        sr = sign * r
+        if ik == ik1:
+            beta = alpha / (1 - sr)
+        elif ik == (ik1 + sign) % p:
+            beta = alpha * sr
         else:
-            if ik == ik1:
-                beta = alpha / (1 + r)
-            elif ik == (ik1 - 1) % p:
-                beta = -alpha * r
-            else:
-                beta = -alpha * r / (1 + r)
+            beta = alpha * sr / (1 - sr)
         if beta:
             out[t] = beta
     if ik == ik1:
@@ -588,15 +578,12 @@ def diamond_closed_form(s: Tableau, i: int, n: int, p: int, side: str) -> dict:
     fu, _ = tableaux.collapse(su, p)
     rho = tableaux.content(fu, i) - tableaux.content(fu, i + 1)
     X = x_factor(rho, p)
-    if side == "left":
-        if s == sd:
-            return {sd: Fraction(rho + 1, rho),
-                    su: Fraction(rho * rho - 1, rho * rho) / X}
-        return {su: Fraction(rho - 1, rho), sd: X}
+    if side == "right":
+        X = 1 / X
     if s == sd:
         return {sd: Fraction(rho + 1, rho),
-                su: Fraction(rho * rho - 1, rho * rho) * X}
-    return {su: Fraction(rho - 1, rho), sd: Fraction(1) / X}
+                su: Fraction(rho * rho - 1, rho * rho) / X}
+    return {su: Fraction(rho - 1, rho), sd: X}
 
 
 def diamond_formula_check(n: int, p: int) -> list:
@@ -691,12 +678,12 @@ def diamond_formula_check(n: int, p: int) -> list:
 # inclusions of smaller Temperley-Lieb algebras
 
 
-def iota_klr(x: TLElement, n: int, p: int, side: str = "left",
+def iota_klr(x: TLElement, n: int, p: int, *,
              n2: int | None = None) -> SeminormalOperator:
-    """The inclusion of TL_(n2) into TL_n as an operator on the f-basis:
-    u_i goes to the i-th diamond and the unit to the class idempotent e.
-    For n2 <= 1 the inclusion sends the unit straight to e.  The element x
-    is factored into generator words diagram by diagram.
+    """The inclusion of TL_(n2) into TL_n as a left operator on the
+    f-basis: u_i goes to the i-th diamond and the unit to the class
+    idempotent e.  The element x, over Q or Z_(p), is factored into
+    generator words diagram by diagram.
 
     n2 is derived from the radix chain of (n, p) when not given; chain
     levels with n < p (possible at the bottom, where n2 is then 0 or 1)
@@ -705,20 +692,14 @@ def iota_klr(x: TLElement, n: int, p: int, side: str = "left",
         n2 = n2_of(n, p)
     if x.n != n2:
         raise ValueError(f"element lives in TL_{x.n}, expected TL_{n2}")
-    e = truncation_idempotent(n, p, side)
-    if n2 <= 1:
-        c = x.coeff(identity_pairing(n2))
-        if x != TLElement.one(n2).scale(c):
-            raise ValueError("TL_0 and TL_1 contain only scalar multiples of 1")
-        return e.scale(c)
+    if x.ring == "Fp":
+        raise ValueError("iota_klr takes an element over Q or Z_(p), not over F_p")
+    e = truncation_idempotent(n, p)
     words = diagram_words(n2)
-    out = op_zero(n, p, side)
+    out = op_zero(n, p, "left")
     for d, c in x.terms.items():
         w = words[d]
-        if w:
-            op = op_word_product([diamond(j, n, p, side) for j in w])
-        else:
-            op = e
+        op = op_word_product([diamond(j, n, p) for j in w]) if w else e
         out = out + op.scale(c)
     return out
 
@@ -739,17 +720,16 @@ def small_jm(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     return _small_jms(n, p, side)[i - 1]
 
 
-def iota_seminormal_idempotent(s: Tableau, n: int, p: int,
-                               side: str = "left") -> SeminormalOperator:
+def iota_seminormal_idempotent(s: Tableau, n: int, p: int) -> SeminormalOperator:
     """The image under the inclusion of the seminormal idempotent of a
     small-algebra tableau s, computed by the JM interpolation product in
     the small Jucys-Murphy operators."""
     n2 = n2_of(n, p)
     if len(s) != n2:
         raise ValueError(f"tableau size {len(s)} != n2 = {n2}")
-    jms = [small_jm(i, n, p, side) for i in range(1, n2 + 1)]
+    jms = [small_jm(i, n, p) for i in range(1, n2 + 1)]
     return projectors.jm_interpolation(jms, tableaux.contents(s),
-                                       truncation_idempotent(n, p, side))
+                                       truncation_idempotent(n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +739,6 @@ def iota_seminormal_idempotent(s: Tableau, n: int, p: int,
 @lru_cache(maxsize=None)
 def f_basis_element(s: Tableau, t: Tableau) -> TLElement:
     """f_(s,t) = E'_s C_(s,t) E'_t as an element of TL_n over Q."""
-    s, t = tuple(s), tuple(t)
     if tableaux.shape_of(s) != tableaux.shape_of(t):
         raise ValueError("tableaux of different shapes")
     n = len(s)
@@ -775,7 +754,6 @@ def f_norm(t: Tableau) -> Fraction:
     """The scalar with f_(t,t) = gamma'_t E'_t (equivalently f_(t,t)^2 =
     gamma'_t f_(t,t)); computed from exact proportionality of the two
     expansions and checked nonzero."""
-    t = tuple(t)
     ftt = f_basis_element(t, t)
     et = seminormal_idempotent(t)
     a, b = ftt.num, et.num
@@ -848,8 +826,7 @@ def operator_from_element_via_cells(a: TLElement, p: int,
 # the recursive p-Jones-Wenzl construction
 
 
-def p_jones_wenzl_recursive_operator(n: int, p: int,
-                                     side: str = "left") -> SeminormalOperator:
+def p_jones_wenzl_recursive_operator(n: int, p: int) -> SeminormalOperator:
     """Compose the inclusions along the base-p radix chain, lifting the
     bottom one-column seminormal idempotent (a Jones-Wenzl projector of
     size a_k - 1) all the way up to an operator on the f-basis of TL_n."""
@@ -859,10 +836,8 @@ def p_jones_wenzl_recursive_operator(n: int, p: int,
     sizes = tableaux.radix_chain(n, p).sizes
     x = jones_wenzl(sizes[-1])  # bottom: E_(one-column) in TL_(a_k - 1)
     for lvl in range(len(sizes) - 2, 0, -1):
-        big = sizes[lvl]
-        op = iota_klr(x, big, p, "left", n2=sizes[lvl + 1])
-        x = operator_to_element(op)
-    return iota_klr(x, n, p, side, n2=sizes[1])
+        x = operator_to_element(iota_klr(x, sizes[lvl], p, n2=sizes[lvl + 1]))
+    return iota_klr(x, n, p, n2=sizes[1])
 
 
 def p_jones_wenzl_recursive(n: int, p: int) -> TLElement:
@@ -872,9 +847,9 @@ def p_jones_wenzl_recursive(n: int, p: int) -> TLElement:
     return operator_to_element(p_jones_wenzl_recursive_operator(n, p))
 
 
-def direct_projection_operator(n: int, p: int, side: str = "left") -> SeminormalOperator:
-    """The direct p-Jones-Wenzl idempotent in the f-basis action model:
-    the projection onto the row (column) indices from the base-p index set."""
+def direct_projection_operator(n: int, p: int) -> SeminormalOperator:
+    """The direct p-Jones-Wenzl idempotent in the f-basis action model: the
+    projection onto the row indices from the base-p index set."""
     tabs = [tableaux.tableau_from_index(m, n, p)
             for m in sorted(tableaux.index_set(n, p))]
-    return op_projection(tabs, n, p, side)
+    return op_projection(tabs, n, p, "left")

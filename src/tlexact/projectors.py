@@ -257,11 +257,8 @@ def seminormal_idempotent(t: Tableau) -> TLElement:
 
 def content_set(n: int) -> tuple:
     """All contents of entries of two-column standard tableaux with n
-    entries: {1, 0, -1, ..., 1-n} for n >= 2, {0} for n = 1."""
-    vals = set()
-    for t in tableaux.all_standard_tableaux(n):
-        vals.update(tableaux.contents(t))
-    return tuple(sorted(vals))
+    entries, ascending: (1-n, ..., 0, 1) for n >= 2, (0,) for n = 1."""
+    return tuple(range(1 - n, min(n, 2)))
 
 
 def jm_interpolation(jms, cont, one):

@@ -24,8 +24,8 @@ where they differ s has a 2 and t a 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coeffs import InvariantError, check_odd_prime
 
@@ -110,9 +110,7 @@ def content(t: Tableau, i: int) -> int:
     """Content c - r of the cell holding entry i (column c, row r)."""
     if not 1 <= i <= len(t):
         raise IndexError(f"entry {i} out of range 1..{len(t)}")
-    c = t[i - 1]
-    row = sum(1 for j in range(i) if t[j] == c)
-    return c - row
+    return contents(t)[i - 1]
 
 
 def contents(t: Tableau) -> tuple:
@@ -232,8 +230,7 @@ def class_of_one_column(n: int, p: int) -> tuple:
 # block decompositions
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """The alternating column runs D_1, M_1, ..., D_k, M_k of a tableau.
 
     runs[i] = (d_i, m_i) are the run lengths; all d_i > 0 and all m_i > 0
@@ -362,8 +359,7 @@ def index_set_tableaux(n: int, p: int) -> dict:
 # the radix chain and the collapse maps
 
 
-@dataclass(frozen=True)
-class RadixChain:
+class RadixChain(NamedTuple):
     """The ladder of integer divisions below n:  at each level,
     n = (p-1) + n1 and n1 = p*n2 + r, and the next level starts at n2.
     Writing n+1 in base p as digits (a_k, ..., a_0), level i satisfies

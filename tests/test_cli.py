@@ -119,7 +119,9 @@ def test_usage_errors(capsys):
                  ("jw", "--n", "-1"),
                  ("klr-check", "--n", "-2", "--p", "3"),
                  ("verify-all", "--n", "-1", "--p", "3"),
-                 ("pjw", "--n", "0", "--p", "3")):
+                 ("pjw", "--n", "0", "--p", "3"),
+                 ("pjw", "--n", "2", "--p", "3", "--method", "both"),
+                 ("pjw", "--n", "3", "--p", "5", "--method", "recursive")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("usage error: ") and err.count("\n") == 1, argv

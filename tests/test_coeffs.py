@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tlexact.coeffs import (
+    IntegralityViolationError,
     InvalidPrimeError,
-    ReductionUndefinedError,
     format_rational,
     is_p_integral,
     is_prime,
@@ -41,7 +41,8 @@ def test_reduction_examples():
 
 
 def test_reduction_undefined():
-    with pytest.raises(ReductionUndefinedError):
+    with pytest.raises(IntegralityViolationError,
+                       match="^coefficient 1/3 is not integral at 3$"):
         reduce_mod_p(Fraction(1, 3), 3)
 
 

@@ -56,6 +56,31 @@ def test_act_psi_example():
     assert K._psi_images((1, 1, 2), 2, 3, "left") == img
 
 
+def test_right_psi_images_are_the_beta_tilde_branches():
+    # beta-tilde written out on its own, independent of the one signed rule
+    # that _psi_images shares with the left side
+    for p in (3, 5, 7):
+        for n in range(2, 10):
+            for s in T.all_standard_tableaux(n):
+                cont = T.contents(s)
+                for k in range(1, n):
+                    r = cont[k - 1] - cont[k]
+                    ik, ik1 = cont[k - 1] % p, cont[k] % p
+                    t = T.swap_adjacent(s, k)
+                    alpha = K._alpha(s, k, t, r)
+                    want = {}
+                    if alpha:
+                        if ik == ik1:
+                            want[t] = alpha / (1 + r)
+                        elif ik == (ik1 - 1) % p:
+                            want[t] = -alpha * r
+                        else:
+                            want[t] = -alpha * r / (1 + r)
+                    if ik == ik1:
+                        want[s] = -Fraction(1, r)
+                    assert K._psi_images(s, k, p, "right") == want, (s, k, p)
+
+
 def test_alpha_values():
     # the canonical system only ever takes the three sanctioned values
     for n in range(2, 7):
@@ -493,6 +518,19 @@ def test_iota_klr_words_and_unit():
     assert K.iota_klr(jw2, n, p) == e - K.diamond(1, n, p).scale(Fraction(1, 2))
     with pytest.raises(ValueError):
         K.iota_klr(TLElement.one(3), n, p)
+
+
+def test_iota_klr_rejects_an_element_over_fp():
+    # n2 = 2 at (8, 3) and n2 = 1 at (5, 3): the same error on both paths,
+    # and the residue 2 = -1 is not read as the rational 2
+    for n, x in ((8, TLElement.generator(1, 2, "Fp", 3).scale(2)),
+                 (5, TLElement.one(1, "Fp", 3))):
+        with pytest.raises(ValueError, match="not over F_p"):
+            K.iota_klr(x, n, 3)
+    assert K.iota_klr(TLElement.generator(1, 2, "Zp", 3), 8, 3) \
+        == K.diamond(1, 8, 3)
+    assert K.iota_klr(TLElement.one(1, "Zp", 3), 5, 3) \
+        == K.truncation_idempotent(5, 3)
 
 
 def test_iota_klr_braid_image():

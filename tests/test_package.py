@@ -29,16 +29,32 @@ def test_public_and_traced_names_resolve(monkeypatch):
         assert hasattr(tlexact, name), name
 
 
-def test_demos_run():
+def _env():
     src = os.path.join(ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_demos_run():
+    # each demo prints exactly its recorded output in tests/demo_output
     demos = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
     assert len(demos) == 6
     for demo in demos:
-        proc = subprocess.run([sys.executable, demo], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stderr) == (0, ""), demo
+        proc = subprocess.run([sys.executable, demo], env=_env(),
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), demo
+        name = os.path.splitext(os.path.basename(demo))[0] + ".txt"
+        with open(os.path.join(ROOT, "tests", "demo_output", name), "rb") as fh:
+            assert proc.stdout == fh.read(), demo
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect, ast and tokenize at every CLI start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tlexact.cli; print('dataclasses' in sys.modules)"],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_no_assert_in_the_package():

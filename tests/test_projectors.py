@@ -163,6 +163,14 @@ def test_oracle_small():
             assert P.idempotent_by_products(t) == P.seminormal_idempotent(t)
 
 
+def test_content_set_is_the_enumerated_contents():
+    for n in range(15):
+        vals = set()
+        for t in T.all_standard_tableaux(n):
+            vals.update(T.contents(t))
+        assert P.content_set(n) == tuple(sorted(vals)), n
+
+
 def test_jm_eigenvector_property_small():
     for n in range(1, 6):
         for t in T.all_standard_tableaux(n):
