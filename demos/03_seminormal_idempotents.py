@@ -5,8 +5,9 @@ stacking Jones-Wenzl boxes along the runs and bending strands down yields
 the seminormal vector f_t in the cell module, and sandwiching the
 construction with its mirror gives the idempotent E'_t projecting onto the
 common Jucys-Murphy eigenvector with eigenvalues the contents of t.  The
-same idempotent falls out of the JM interpolation product, which serves as
-an independent oracle.
+same idempotent falls out of the JM interpolation product along the
+branching path of t (one factor (L_i - c')/(c_i - c') per entry whose other
+addable box, of content c', exists), which serves as an independent oracle.
 """
 
 from fractions import Fraction

@@ -140,11 +140,7 @@ class SeminormalOperator:
         """Matrix entries reduced mod p (requires p-integrality)."""
         out = {}
         for s, vec in self.action.items():
-            red = {}
-            for t, c in vec.items():
-                v = reduce_mod_p(c, self.p)
-                if v:
-                    red[t] = v
+            red = {t: v for t, c in vec.items() if (v := reduce_mod_p(c, self.p))}
             if red:
                 out[s] = red
         return out
@@ -218,9 +214,9 @@ def act_y(l: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     return SeminormalOperator.from_rule(n, p, side, rule)
 
 
-def _alpha(s: Tableau, k: int, t, r: int) -> Fraction:
-    """The canonical seminormal coefficient: 1 going down in dominance,
-    (r^2-1)/r^2 going up, 0 when s*s_k is not standard."""
+def _alpha(s: Tableau, t, r: int) -> Fraction:
+    """The canonical seminormal coefficient of s and t = s*s_k: 1 going down
+    in dominance, (r^2-1)/r^2 going up, 0 when t is None (not standard)."""
     if t is None:
         return Fraction(0)
     if tableaux.dominance_compare(t, s) == "less":
@@ -237,7 +233,7 @@ def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
     r = cont[k - 1] - cont[k]
     ik, ik1 = cont[k - 1] % p, cont[k] % p
     t = tableaux.swap_adjacent(s, k)
-    alpha = _alpha(s, k, t, r)
+    alpha = _alpha(s, t, r)
     out = {}
     if alpha:
         sign = 1 if side == "left" else -1
@@ -374,9 +370,10 @@ def klr_relations_check(n: int, p: int) -> list:
 
         # y_1 e(i) = 0 and commutations
         reports.append(_report(f"y1-vanishes {tag}", n, p, not times_e(Y[1])))
+        # both orders of a pair fail together: try each unordered pair once
         bad = next((
             (l, m) for l in Y for m in Y
-            if prod(Y[l], Y[m]) != prod(Y[m], Y[l])), None)
+            if l < m and prod(Y[l], Y[m]) != prod(Y[m], Y[l])), None)
         reports.append(_report(f"y-commute {tag}", n, p, bad is None, bad))
         bad = None
         for l in Y:
@@ -426,7 +423,7 @@ def klr_relations_check(n: int, p: int) -> list:
             and prod(PSI[k], Y[l]) != prod(Y[l], PSI[k])), None)
         reports.append(_report(f"psi-y-distant {tag}", n, p, bad is None, bad))
         bad = next((
-            (k, m) for k in PSI for m in PSI if abs(k - m) > 1
+            (k, m) for k in PSI for m in PSI if m > k + 1
             and prod(PSI[k], PSI[m]) != prod(PSI[m], PSI[k])), None)
         reports.append(_report(f"psi-psi-distant {tag}", n, p, bad is None, bad))
 
@@ -499,13 +496,8 @@ def block_swap_word(i: int, p: int) -> tuple:
     rows s_I, (s_(I-1) s_(I+1)), ..., widening to p letters, then narrowing
     back."""
     I = (i + 1) * p - 1
-    rows = [list(range(I - j + 1, I + j, 2)) for j in range(1, p + 1)]
-    word = []
-    for row in rows:
-        word.extend(row)
-    for row in reversed(rows[:-1]):
-        word.extend(row)
-    return tuple(word)
+    rows = [range(I - j + 1, I + j, 2) for j in range(1, p + 1)]
+    return tuple(k for row in rows + rows[-2::-1] for k in row)
 
 
 @lru_cache(maxsize=None)
@@ -725,8 +717,8 @@ def iota_seminormal_idempotent(s: Tableau, n: int, p: int) -> SeminormalOperator
     small-algebra tableau s, computed by the JM interpolation product in
     the small Jucys-Murphy operators."""
     n2 = n2_of(n, p)
-    if len(s) != n2:
-        raise ValueError(f"tableau size {len(s)} != n2 = {n2}")
+    if len(s) != n2 or not tableaux.is_standard(s):
+        raise ValueError(f"{s!r} is not a standard tableau of size n2 = {n2}")
     jms = [small_jm(i, n, p) for i in range(1, n2 + 1)]
     return projectors.jm_interpolation(jms, tableaux.contents(s),
                                        truncation_idempotent(n, p))

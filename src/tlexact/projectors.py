@@ -22,8 +22,9 @@ yields the idempotent
 
 which projects onto the simultaneous Jucys-Murphy eigenvector with
 eigenvalues the contents of t.  The independent oracle for E'_t is the
-JM interpolation product over the full content set (``jm_interpolation``,
-which :mod:`tlexact.klr` runs on the small JM operators too).
+JM interpolation product along the branching path of t, one factor per
+entry whose other addable box exists (``jm_interpolation``, which
+:mod:`tlexact.klr` runs on the small JM operators too).
 
 Summing E'_t over a p-class gives the class idempotents, whose coefficients
 are provably integral at p; summing over the tableaux indexed by the base-p
@@ -255,30 +256,35 @@ def seminormal_idempotent(t: Tableau) -> TLElement:
 # the Jucys-Murphy interpolation oracle
 
 
-def content_set(n: int) -> tuple:
-    """All contents of entries of two-column standard tableaux with n
-    entries, ascending: (1-n, ..., 0, 1) for n >= 2, (0,) for n = 1."""
-    return tuple(range(1 - n, min(n, 2)))
-
-
 def jm_interpolation(jms, cont, one):
     """The projector onto the common eigenvector of the JM elements jms =
-    (L_1, ..., L_m) with eigenvalues cont = (c_1, ..., c_m), in any algebra
-    with *, - and scale whose unit is ``one``:
-
-        prod over i and over c != c_i in content_set(m) of (L_i - c) / (c_i - c)."""
-    cs = content_set(len(cont))
+    (L_1, ..., L_m) with eigenvalues cont, the contents of a standard
+    two-column tableau t (else ValueError), in any algebra with *, - and
+    scale whose unit is ``one``.  Murphy's recursive form: the first i-1
+    factors give the sum of E_s over the s that agree with t before i, on
+    which L_i has two eigenvalues at most, c_i and the content c' of the
+    other addable box; so the i-th factor is (L_i - c')/(c_i - c'), or
+    none when there is no other addable box."""
+    a = b = 0  # entries so far in columns 1 and 2
     out = one
     for li, ci in zip(jms, cont):
-        for c in cs:
-            if c != ci:
-                out = out * (li - one.scale(c)).scale(Fraction(1, ci - c))
+        if ci == -a:  # column 1; column 2 is addable iff b < a
+            other, a = (1 - b if b < a else None), a + 1
+        elif ci == 1 - b and b < a:  # column 2; column 1 is always addable
+            other, b = -a, b + 1
+        else:
+            raise ValueError(f"{tuple(cont)} are not the contents of a "
+                             f"standard two-column tableau")
+        if other is not None:
+            out = out * (li - one.scale(other)).scale(Fraction(1, ci - other))
     return out
 
 
 def idempotent_by_products(t: Tableau) -> TLElement:
     """E'_t by jm_interpolation in the JM elements of TL_n.  Independent of
     the nested-projector construction; used as its oracle."""
+    if not tableaux.is_standard(t):
+        raise ValueError(f"{t!r} is not a standard two-column tableau")
     n = len(t)
     return jm_interpolation([jm_element(i, n) for i in range(1, n + 1)],
                             tableaux.contents(t), TLElement.one(n))

@@ -50,7 +50,7 @@ def test_act_y_examples():
 def test_act_psi_example():
     # n=3, p=3, k=2, s=(1,1,2): residues (0,2,1); going up with r=-2,
     # alpha = 3/4, beta = alpha*r = -3/2
-    assert K._alpha((1, 1, 2), 2, (1, 2, 1), -2) == Fraction(3, 4)
+    assert K._alpha((1, 1, 2), (1, 2, 1), -2) == Fraction(3, 4)
     img = K.act_psi(2, 3, 3, "left").apply_index((1, 1, 2))
     assert img == {(1, 2, 1): Fraction(-3, 2)}
     assert K._psi_images((1, 1, 2), 2, 3, "left") == img
@@ -67,7 +67,7 @@ def test_right_psi_images_are_the_beta_tilde_branches():
                     r = cont[k - 1] - cont[k]
                     ik, ik1 = cont[k - 1] % p, cont[k] % p
                     t = T.swap_adjacent(s, k)
-                    alpha = K._alpha(s, k, t, r)
+                    alpha = K._alpha(s, t, r)
                     want = {}
                     if alpha:
                         if ik == ik1:
@@ -89,7 +89,7 @@ def test_alpha_values():
             for k in range(1, n):
                 t = T.swap_adjacent(s, k)
                 r = cont[k - 1] - cont[k]
-                a = K._alpha(s, k, t, r)
+                a = K._alpha(s, t, r)
                 if t is None:
                     assert a == 0
                 else:
@@ -619,6 +619,16 @@ def test_small_jm_eigenvalues_past_the_full_basis():
             assert K.small_jm(i, n, p, side).action == want, (side, i)
 
 
+def test_iota_idempotents_past_the_full_basis():
+    # six small tableaux at (33,3), n2 = 10, on the small JM operators that
+    # the eigenvalue test above has built: iota(E_s) is the projection
+    # onto the collapse fiber of s
+    n, p = 33, 3
+    for s in T.all_standard_tableaux(K.n2_of(n, p))[::50]:
+        assert K.iota_seminormal_idempotent(s, n, p) \
+            == K.op_projection(T.collapse_fiber(s, n, p), n, p, "left"), s
+
+
 def test_operator_product_needs_one_side():
     n, p = 4, 3
     left, right = K.act_u(1, n, p, "left"), K.act_u(1, n, p, "right")
@@ -638,6 +648,13 @@ def test_iota_on_idempotents_fibers():
     # fiber example at (12, 3)
     assert T.collapse_fiber((1, 1, 1), 12, 3) \
         == ((1,) * 12, T.tableau_from_index(10, 12, 3))
+
+
+def test_iota_idempotent_rejects_a_non_standard_tableau():
+    # n2 = 3 at (12,3): the right size, but not standard
+    for s in [(1, 2, 2), (1, 3, 1), (2, 1, 1)]:
+        with pytest.raises(ValueError):
+            K.iota_seminormal_idempotent(s, 12, 3)
 
 
 def test_f_basis_structure():

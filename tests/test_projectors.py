@@ -6,6 +6,7 @@ import pytest
 
 from tlexact import tableaux as T
 from tlexact import diagrams as D
+from tlexact import klr as K
 from tlexact import projectors as P
 from tlexact.diagrams import TLElement
 
@@ -158,17 +159,76 @@ def test_oracle_small():
         == TLElement.generator(1, 2).scale(Fraction(1, 2))
     assert P.idempotent_by_products((1, 1)) \
         == TLElement.one(2) - TLElement.generator(1, 2).scale(Fraction(1, 2))
-    for n in range(1, 6):
+    for n in (1, 2, 3, 4, 5, 8):  # criterion 2 covers n <= 7
         for t in T.all_standard_tableaux(n):
-            assert P.idempotent_by_products(t) == P.seminormal_idempotent(t)
+            assert P.idempotent_by_products(t) == P.seminormal_idempotent(t), t
 
 
-def test_content_set_is_the_enumerated_contents():
-    for n in range(15):
-        vals = set()
+def test_oracle_rejects_a_non_standard_tableau():
+    for t in [(1, 3), (2,), (1, 2, 2), (0, 1)]:
+        with pytest.raises(ValueError):
+            P.idempotent_by_products(t)
+
+
+def test_jm_interpolation_rejects_contents_of_no_tableau():
+    one = TLElement.one(3)
+    jms = [D.jm_element(i, 3) for i in range(1, 4)]
+    for cont in [(1, 0, 0), (0, 0, 0), (0, 1, 1), (0, -1, -1), (0, 1, 0)]:
+        with pytest.raises(ValueError):
+            P.jm_interpolation(jms, cont, one)
+
+
+def test_branching_rule():
+    # jm_interpolation's rule: over the standard s that agree with t before
+    # i, the i-th content is c_i or the content c' of the other box, which
+    # is in column 2 (content 1 - b, addable iff b < a) when t puts i in
+    # column 1 and in column 1 (content -a) otherwise; a and b count the
+    # entries of t before i in columns 1 and 2
+    for n in range(13):
+        tabs = T.all_standard_tableaux(n)
+        seen = {}
+        for s in tabs:
+            for i, c in enumerate(T.contents(s)):
+                seen.setdefault(s[:i], set()).add(c)
+        for t in tabs:
+            for i, c in enumerate(T.contents(t)):
+                a, b = t[:i].count(1), t[:i].count(2)
+                if t[i] == 2:
+                    want = {c, -a}
+                elif b < a:
+                    want = {c, 1 - b}
+                else:
+                    want = {c}
+                assert seen[t[:i]] == want, (t, i + 1)
+
+
+def full_content_product(jms, cont, one):
+    """The JM interpolation over the full content set: one factor
+    (L_i - c)/(c_i - c) for every content c != c_i of any two-column
+    tableau of size m."""
+    m = len(cont)
+    out = one
+    for li, ci in zip(jms, cont):
+        for c in range(1 - m, min(m, 2)):
+            if c != ci:
+                out = out * (li - one.scale(c)).scale(Fraction(1, ci - c))
+    return out
+
+
+def test_branching_product_is_the_full_content_product():
+    for n in range(1, 7):
+        jms = [D.jm_element(i, n) for i in range(1, n + 1)]
         for t in T.all_standard_tableaux(n):
-            vals.update(T.contents(t))
-        assert P.content_set(n) == tuple(sorted(vals)), n
+            assert P.jm_interpolation(jms, T.contents(t), TLElement.one(n)) \
+                == full_content_product(jms, T.contents(t), TLElement.one(n)), t
+    # on the small JM operators of the inclusion at (14,3)
+    n, p = 14, 3
+    n2 = K.n2_of(n, p)
+    jms = [K.small_jm(i, n, p) for i in range(1, n2 + 1)]
+    e = K.truncation_idempotent(n, p)
+    for s in T.all_standard_tableaux(n2):
+        assert K.iota_seminormal_idempotent(s, n, p) \
+            == full_content_product(jms, T.contents(s), e), s
 
 
 def test_jm_eigenvector_property_small():
