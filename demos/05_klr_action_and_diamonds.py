@@ -25,7 +25,7 @@ print(f"\npsi_2 on f_(112): {img}  (beta = alpha * r with r = -2)")
 
 n, p = 8, 3
 print(f"\ndiamonds at n={n}, p={p}: block-swap word {K.block_swap_word(1, p)}")
-dia = K.diamond(1, n, p)
+dia = K.diamond(1, n, p, "left")
 cls = T.class_of_one_column(n, p)
 print("the one-column class:", ["".join(map(str, t)) for t in cls])
 for s in cls:
@@ -40,6 +40,6 @@ for m in range(8, 13):
     print(f"  n={m}: {'PASS' if ok else 'FAIL'}")
 
 print("\ndiamonds satisfy the Temperley-Lieb relations; at n=11:")
-u1, u2 = K.diamond(1, 11, p), K.diamond(2, 11, p)
+u1, u2 = K.diamond(1, 11, p, "left"), K.diamond(2, 11, p, "left")
 print("  U1 U1 == 2 U1:", K.op_product(u1, u1) == u1.scale(2))
 print("  U1 U2 U1 == U1:", K.op_word_product([u1, u2, u1]) == u1)

@@ -59,7 +59,7 @@ for (n, p) in [(3, 3), (5, 3), (5, 5)]:
 n, p = 12, 3
 print(f"\nat n={n}, p={p} the one-column class idempotent splits off a")
 print("nonzero idempotent orthogonal to the p-Jones-Wenzl idempotent:")
-e_cls = K.truncation_idempotent(n, p)
+e_cls = K.truncation_idempotent(n, p, "left")
 pjw = K.direct_projection_operator(n, p)
 rest = e_cls - pjw
 print("  complement nonzero:", not rest.is_zero(),

@@ -146,8 +146,7 @@ def _cmd_pjw(args):
         _print_element(_in_ring(out, args), args.json)
     elif method != "both":
         # no expansion requested or possible: print the index set summary
-        tabs = {m: tableaux.tableau_from_index(m, args.n, args.p)
-                for m in sorted(tableaux.index_set(args.n, args.p))}
+        tabs = tableaux.index_set_tableaux(args.n, args.p)
         doc = {"n": args.n, "p": args.p,
                "summands": [{"index": m, "tableau": list(t)}
                             for m, t in tabs.items()]}

@@ -587,12 +587,6 @@ class TLElement:
         return self if ring == self.ring else TLElement(
             self.n, None, ring, p if ring == "Zp" else None)._raw(self.num, self.den)
 
-    def to_Zp(self, p):
-        return self.in_ring("Zp", p)
-
-    def reduce_mod_p(self, p):
-        return self.in_ring("Fp", p)
-
     # -- serialization (schema: n, ring, p?, terms: [{pairing, coeff}])
 
     def to_json(self) -> dict:
@@ -617,31 +611,30 @@ class TLElement:
 # words: the image of the symmetric group, JM elements, diagram factorization
 
 
-def linear_combination(items, n, ring="Q", p=None) -> TLElement:
+def linear_combination(items, n) -> TLElement:
     """The sum of c * e over the (c, e) in items, every e an element of
-    TL_n over (ring, p), accumulated in one term dict."""
-    out = TLElement.zero(n, ring, p)
+    TL_n over Q, accumulated in one term dict."""
+    out = TLElement.zero(n)
     for c, e in items:
         out._accumulate(e, *out._scalar(c))
     return out._reduce()
 
 
-def phi_word(word, n, ring="Q", p=None) -> TLElement:
+def phi_word(word, n) -> TLElement:
     """Image of the word s_(w1) s_(w2) ... under s_i -> u_i - 1."""
-    out = TLElement.one(n, ring, p)
+    out = TLElement.one(n)
     for i in word:
-        out = out * (TLElement.generator(i, n, ring, p) - TLElement.one(n, ring, p))
+        out = out * (TLElement.generator(i, n) - TLElement.one(n))
     return out
 
 
-def phi(terms, n, ring="Q", p=None) -> TLElement:
+def phi(terms, n) -> TLElement:
     """Linear extension of phi_word to formal sums [(coeff, word), ...].
     A bare word (possibly empty, mapping to the unit) is also accepted."""
     terms = list(terms)
     if all(isinstance(x, int) for x in terms):
-        return phi_word(terms, n, ring, p)
-    return linear_combination(((c, phi_word(word, n, ring, p)) for c, word in terms),
-                              n, ring, p)
+        return phi_word(terms, n)
+    return linear_combination(((c, phi_word(word, n)) for c, word in terms), n)
 
 
 def jucys_murphy(s, zero) -> tuple:

@@ -10,10 +10,12 @@ generators act by explicit combinatorial rules:
   Jucys-Murphy element;
 * psi_k sends f_(s,a) to beta f_(s*s_k, a) on the left and f_(a,s) to
   beta f_(a, s*s_k) on the right, plus -(1/r) times itself if i_k = i_(k+1).
-  With r the content difference at k, alpha in {1, (r^2-1)/r^2, 0} the
-  canonical seminormal coefficient, sign = +1 (left) or -1 (right) and
-  sr = sign * r, beta is alpha/(1 - sr) if i_k = i_(k+1), alpha * sr if
-  i_k = i_(k+1) + sign mod p, and alpha * sr/(1 - sr) otherwise.
+  With r = c_k - c_(k+1), alpha is 0 if r^2 = 1 (s*s_k not standard), 1 if
+  entry k is in column 2 (s*s_k below s in dominance), else (r^2-1)/r^2;
+  Young's form for u_k and the diamond closed form share it.  With sign =
+  +1 (left) or -1 (right) and sr = sign * r, beta is alpha/(1 - sr) if
+  i_k = i_(k+1), alpha * sr if i_k = i_(k+1) + sign mod p, and
+  alpha * sr/(1 - sr) otherwise.
 
 Because the rules touch one side of the pair at a time, operators here are
 linear maps on single tableau indices together with a side tag; a left
@@ -214,12 +216,10 @@ def act_y(l: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     return SeminormalOperator.from_rule(n, p, side, rule)
 
 
-def _alpha(s: Tableau, t, r: int) -> Fraction:
-    """The canonical seminormal coefficient of s and t = s*s_k: 1 going down
-    in dominance, (r^2-1)/r^2 going up, 0 when t is None (not standard)."""
-    if t is None:
-        return Fraction(0)
-    if tableaux.dominance_compare(t, s) == "less":
+def _alpha(down: bool, r: int) -> Fraction:
+    """The seminormal coefficient at content difference r (module
+    docstring); down means entry k lies in column 2."""
+    if down and r * r != 1:
         return Fraction(1)
     return Fraction(r * r - 1, r * r)
 
@@ -232,8 +232,7 @@ def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
     cont = tableaux.contents(s)
     r = cont[k - 1] - cont[k]
     ik, ik1 = cont[k - 1] % p, cont[k] % p
-    t = tableaux.swap_adjacent(s, k)
-    alpha = _alpha(s, t, r)
+    alpha = _alpha(s[k - 1] == 2, r)
     out = {}
     if alpha:
         sign = 1 if side == "left" else -1
@@ -245,7 +244,7 @@ def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
         else:
             beta = alpha * sr / (1 - sr)
         if beta:
-            out[t] = beta
+            out[(*s[:k - 1], s[k], s[k - 1], *s[k + 1:])] = beta
     if ik == ik1:
         out[s] = out.get(s, Fraction(0)) - Fraction(1, r)
     return out
@@ -259,6 +258,18 @@ def act_psi(k: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
         n, p, side, lambda s: _psi_images(s, k, p, side))
 
 
+def _u_block(s: Tableau, t, down: bool, r: int, X) -> dict:
+    """Young's seminormal form for u at s, t = s*s_k (r, down as for _alpha):
+    0 if r = 1 (same column), 2 s if r = -1 (same row), else (1 - 1/r) s
+    plus alpha X t going down or alpha/X t going up."""
+    if r == 1:
+        return {}
+    if r == -1:
+        return {s: Fraction(2)}
+    alpha = _alpha(down, r)
+    return {s: 1 - Fraction(1, r), t: alpha * X if down else alpha / X}
+
+
 def act_u(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     """Action of the Temperley-Lieb generator u_i on the f-basis, given by
     Young's seminormal form; valid on either side since u_i is
@@ -267,19 +278,9 @@ def act_u(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
         raise IndexError(f"index {i} out of range")
 
     def rule(s):
-        t = tableaux.swap_adjacent(s, i)
-        if t is None:
-            if s[i - 1] == s[i]:
-                return {}
-            return {s: Fraction(2)}
-        if tableaux.dominance_compare(s, t) == "less":
-            sd, su = s, t
-        else:
-            sd, su = t, s
-        r = tableaux.content(su, i) - tableaux.content(sd, i)
-        if s == sd:
-            return {sd: Fraction(r + 1, r), su: Fraction(r * r - 1, r * r)}
-        return {su: Fraction(r - 1, r), sd: Fraction(1)}
+        cont = tableaux.contents(s)
+        t = (*s[:i - 1], s[i], s[i - 1], *s[i + 1:])
+        return _u_block(s, t, s[i - 1] == 2, cont[i - 1] - cont[i], 1)
 
     return SeminormalOperator.from_rule(n, p, side, rule)
 
@@ -501,7 +502,7 @@ def block_swap_word(i: int, p: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def truncation_idempotent(n: int, p: int, side: str = "left") -> SeminormalOperator:
+def truncation_idempotent(n: int, p: int, side: str) -> SeminormalOperator:
     """e: the class idempotent of the one-column tableau, acting as the
     projection onto indices with decreasing residue sequence (the class)."""
     return op_projection(tableaux.class_of_one_column(n, p), n, p, side)
@@ -515,7 +516,7 @@ def n2_of(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def diamond(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
+def diamond(i: int, n: int, p: int, side: str) -> SeminormalOperator:
     """The i-th diamond: e psi_(w1) ... psi_(wL) e over the block-swap
     word, truncated by the class idempotent on both sides.  Each member of
     the one-column p-class is pushed sparsely through the word (the left
@@ -552,30 +553,19 @@ def x_factor(rho: int, p: int) -> Fraction:
     return Fraction(num, den)
 
 
-def diamond_closed_form(s: Tableau, i: int, n: int, p: int, side: str) -> dict:
+def diamond_closed_form(s: Tableau, i: int, p: int, side: str) -> dict:
     """The predicted image of the i-th diamond on the index s (a member of
-    the one-column p-class), from the closed seminormal-form formulas."""
+    the one-column p-class): Young's u-block of the collapsed tableau at
+    its content difference rho, with exchange coefficient X(|rho|)."""
     fs, _ = tableaux.collapse(s, p)
+    cont = tableaux.contents(fs)
+    rho = cont[i - 1] - cont[i]
     t = tableaux.apply_block_swap(s, i, p)
-    if t is None:
-        if fs[i - 1] == fs[i]:
-            return {}  # blocks share a column
-        if not tableaux.same_row(fs, i):
-            raise InvariantError(f"blocks {i}, {i + 1} of {s} share no row or column")
-        return {s: Fraction(2)}
-    if tableaux.dominance_compare(s, t) == "less":
-        sd, su = s, t
-    else:
-        sd, su = t, s
-    fu, _ = tableaux.collapse(su, p)
-    rho = tableaux.content(fu, i) - tableaux.content(fu, i + 1)
-    X = x_factor(rho, p)
-    if side == "right":
-        X = 1 / X
-    if s == sd:
-        return {sd: Fraction(rho + 1, rho),
-                su: Fraction(rho * rho - 1, rho * rho) / X}
-    return {su: Fraction(rho - 1, rho), sd: X}
+    if (t is None) != (rho * rho == 1):
+        raise InvariantError(f"blocks {i}, {i + 1} of {s}: the block swap "
+                             f"disagrees with rho = {rho}")
+    X = x_factor(abs(rho), p)
+    return _u_block(s, t, fs[i - 1] == 2, rho, X if side == "left" else 1 / X)
 
 
 def diamond_formula_check(n: int, p: int) -> list:
@@ -597,7 +587,7 @@ def diamond_formula_check(n: int, p: int) -> list:
             dia = diamond(i, n, p, side)
             for s in cls:
                 got = dia.apply_index(s)
-                want = diamond_closed_form(s, i, n, p, side)
+                want = diamond_closed_form(s, i, p, side)
                 if got != want:
                     bad = (i, s, sorted(got.items()), sorted(want.items()))
                     break
@@ -686,12 +676,12 @@ def iota_klr(x: TLElement, n: int, p: int, *,
         raise ValueError(f"element lives in TL_{x.n}, expected TL_{n2}")
     if x.ring == "Fp":
         raise ValueError("iota_klr takes an element over Q or Z_(p), not over F_p")
-    e = truncation_idempotent(n, p)
+    e = truncation_idempotent(n, p, "left")
     words = diagram_words(n2)
     out = op_zero(n, p, "left")
     for d, c in x.terms.items():
         w = words[d]
-        op = op_word_product([diamond(j, n, p) for j in w]) if w else e
+        op = op_word_product([diamond(j, n, p, "left") for j in w]) if w else e
         out = out + op.scale(c)
     return out
 
@@ -721,7 +711,7 @@ def iota_seminormal_idempotent(s: Tableau, n: int, p: int) -> SeminormalOperator
         raise ValueError(f"{s!r} is not a standard tableau of size n2 = {n2}")
     jms = [small_jm(i, n, p) for i in range(1, n2 + 1)]
     return projectors.jm_interpolation(jms, tableaux.contents(s),
-                                       truncation_idempotent(n, p))
+                                       truncation_idempotent(n, p, "left"))
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +832,4 @@ def p_jones_wenzl_recursive(n: int, p: int) -> TLElement:
 def direct_projection_operator(n: int, p: int) -> SeminormalOperator:
     """The direct p-Jones-Wenzl idempotent in the f-basis action model: the
     projection onto the row indices from the base-p index set."""
-    tabs = [tableaux.tableau_from_index(m, n, p)
-            for m in sorted(tableaux.index_set(n, p))]
-    return op_projection(tabs, n, p, "left")
+    return op_projection(tableaux.index_set_tableaux(n, p).values(), n, p, "left")

@@ -313,7 +313,6 @@ def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
     base-p index set of n.  p-integral, idempotent over Q and after
     reduction mod p."""
     check_odd_prime(p)
-    out = linear_combination(
-        ((1, seminormal_idempotent(tableaux.tableau_from_index(m, n, p)))
-         for m in sorted(tableaux.index_set(n, p))), n)
+    out = linear_combination(((1, seminormal_idempotent(t)) for t in
+                              tableaux.index_set_tableaux(n, p).values()), n)
     return out.in_ring(ring, p)

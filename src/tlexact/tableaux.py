@@ -175,15 +175,6 @@ def swap_adjacent(t: Tableau, k: int):
     return tuple(s)
 
 
-def same_row(t: Tableau, k: int) -> bool:
-    """True iff entries k and k+1 occupy the same row of t."""
-    if t[k - 1] != 1 or t[k] != 2:
-        return False
-    row_a = sum(1 for j in range(k) if t[j] == 1)
-    row_b = sum(1 for j in range(k + 1) if t[j] == 2)
-    return row_a == row_b
-
-
 # ---------------------------------------------------------------------------
 # p-classes
 
@@ -352,7 +343,8 @@ def tableau_from_index(m: int, n: int, p: int) -> Tableau:
 
 
 def index_set_tableaux(n: int, p: int) -> dict:
-    return {m: tableau_from_index(m, n, p) for m in index_set(n, p)}
+    """{m: tableau_from_index(m, n, p)} over the index set, sorted by m."""
+    return {m: tableau_from_index(m, n, p) for m in sorted(index_set(n, p))}
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def test_criterion_4_p_integrality():
         pj = P.p_jones_wenzl_direct(3, 3)
         assert pj == TLElement.one(3) \
             - TLElement.generator(1, 3).scale(Fraction(1, 2))
-        pf = pj.reduce_mod_p(3)
+        pf = pj.in_ring("Fp", 3)
         assert pf == TLElement.one(3, "Fp", 3) + TLElement.generator(1, 3, "Fp", 3)
         assert pf * pf == pf
         assert sorted(T.index_set(12, 3)) == [4, 6, 10, 12]
@@ -233,7 +233,7 @@ def test_criterion_7_small_jm_suite():
                         else K.op_zero(n, p, "left")
                     assert K.op_product(ios, proj_t) == want
                     assert K.op_product(proj_t, ios) == want
-            assert total == K.truncation_idempotent(n, p)
+            assert total == K.truncation_idempotent(n, p, "left")
 
 
 def test_criterion_8_final_theorem():
@@ -254,7 +254,7 @@ def test_criterion_8_final_theorem():
         assert summands < cls and len(cls - summands) == 2
         # the one-column class idempotent exceeds the p-Jones-Wenzl
         # idempotent by a nonzero orthogonal idempotent, over Q ...
-        e_cls = K.truncation_idempotent(12, 3)
+        e_cls = K.truncation_idempotent(12, 3, "left")
         pjw = K.direct_projection_operator(12, 3)
         rest = e_cls - pjw
         assert not rest.is_zero()

@@ -202,9 +202,9 @@ def test_serialization_round_trip():
     doc = e.to_json()
     assert doc["ring"] == "Q"
     assert TLElement.from_json(doc) == e
-    ep = e.reduce_mod_p(5)
+    ep = e.in_ring("Fp", 5)
     assert TLElement.from_json(ep.to_json()) == ep
-    zp = e.to_Zp(3)
+    zp = e.in_ring("Zp", 3)
     doc = zp.to_json()
     assert doc["p"] == 3
     assert TLElement.from_json(doc) == zp
@@ -214,7 +214,7 @@ def test_ring_guards():
     with pytest.raises(ValueError):
         TLElement.one(2, "Zp", 4)
     with pytest.raises(ValueError):
-        TLElement.one(2).to_Zp(3).__add__(TLElement.one(2))
+        TLElement.one(2).in_ring("Zp", 3).__add__(TLElement.one(2))
     with pytest.raises(ValueError):
         TLElement(2, {D.identity_pairing(2): Fraction(1, 3)}, "Zp", 3)
 
@@ -222,16 +222,16 @@ def test_ring_guards():
 def test_ring_conversion_starts_over_q_or_zp_at_the_same_prime():
     # over F_3, 2 is the residue of -1: it has no meaning mod 5
     e = TLElement.one(2, "Fp", 3).scale(2)
-    zp = TLElement.one(2).scale(Fraction(-1, 2)).to_Zp(3)
+    zp = TLElement.one(2).scale(Fraction(-1, 2)).in_ring("Zp", 3)
     for x in (e, zp):
-        for convert in (x.to_Zp, x.reduce_mod_p):
+        for ring in ("Zp", "Fp"):
             with pytest.raises(ValueError, match="cannot convert"):
-                convert(5)
+                x.in_ring(ring, 5)
     with pytest.raises(ValueError, match="cannot convert"):
-        e.reduce_mod_p(3)
-    assert zp.reduce_mod_p(3) == TLElement.one(2, "Fp", 3)
+        e.in_ring("Fp", 3)
+    assert zp.in_ring("Fp", 3) == TLElement.one(2, "Fp", 3)
     assert zp.in_ring("Q", 3) == TLElement.one(2).scale(Fraction(-1, 2))
-    assert zp.to_Zp(3) is zp
+    assert zp.in_ring("Zp", 3) is zp
 
 
 def test_ring_conversion_raises_one_integrality_error():
@@ -243,9 +243,9 @@ def test_ring_conversion_raises_one_integrality_error():
             x.in_ring(ring, 3)
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, ArithmeticError)
-    for convert in (x.to_Zp, x.reduce_mod_p):
+    for ring in ("Zp", "Fp"):
         with pytest.raises(IntegralityViolationError):
-            convert(5)
+            x.in_ring(ring, 5)
     assert x.in_ring("Q", 7) is x
     for ring in ("Zp", "Fp"):
         one = TLElement.one(2, ring, 3)

@@ -47,10 +47,21 @@ def test_act_y_examples():
     assert K.act_y(2, 3, 5, "left").apply_index((1, 2, 1)) == {}
 
 
+def _alpha_reference(s, k, r):
+    """The seminormal coefficient of s and t = s*s_k read off dominance: 1
+    going down, (r^2-1)/r^2 going up, 0 when t is not standard."""
+    t = T.swap_adjacent(s, k)
+    if t is None:
+        return Fraction(0)
+    if T.dominance_compare(t, s) == "less":
+        return Fraction(1)
+    return Fraction(r * r - 1, r * r)
+
+
 def test_act_psi_example():
     # n=3, p=3, k=2, s=(1,1,2): residues (0,2,1); going up with r=-2,
     # alpha = 3/4, beta = alpha*r = -3/2
-    assert K._alpha((1, 1, 2), (1, 2, 1), -2) == Fraction(3, 4)
+    assert _alpha_reference((1, 1, 2), 2, -2) == Fraction(3, 4)
     img = K.act_psi(2, 3, 3, "left").apply_index((1, 1, 2))
     assert img == {(1, 2, 1): Fraction(-3, 2)}
     assert K._psi_images((1, 1, 2), 2, 3, "left") == img
@@ -67,7 +78,7 @@ def test_right_psi_images_are_the_beta_tilde_branches():
                     r = cont[k - 1] - cont[k]
                     ik, ik1 = cont[k - 1] % p, cont[k] % p
                     t = T.swap_adjacent(s, k)
-                    alpha = K._alpha(s, t, r)
+                    alpha = _alpha_reference(s, k, r)
                     want = {}
                     if alpha:
                         if ik == ik1:
@@ -82,18 +93,16 @@ def test_right_psi_images_are_the_beta_tilde_branches():
 
 
 def test_alpha_values():
-    # the canonical system only ever takes the three sanctioned values
-    for n in range(2, 7):
+    # alpha from the column of entry k agrees with the dominance reading,
+    # and stays a Fraction (an int 1 would turn alpha / (1 - sr) into a float)
+    for n in range(2, 10):
         for s in T.all_standard_tableaux(n):
             cont = T.contents(s)
             for k in range(1, n):
-                t = T.swap_adjacent(s, k)
                 r = cont[k - 1] - cont[k]
-                a = K._alpha(s, t, r)
-                if t is None:
-                    assert a == 0
-                else:
-                    assert a in (Fraction(1), Fraction(r * r - 1, r * r))
+                a = K._alpha(s[k - 1] == 2, r)
+                assert type(a) is Fraction
+                assert a == _alpha_reference(s, k, r), (s, k)
 
 
 def test_separated_prime_kills_diagonal_psi_term():
@@ -421,7 +430,7 @@ def test_diamond_e_truncation_detects_off_class_entries(monkeypatch, plant):
     outside = next(s for s in T.all_standard_tableaux(n) if s not in cls)
     real = K.diamond
 
-    def planted(i, nn, pp, side="left"):
+    def planted(i, nn, pp, side):
         action = {s: dict(v) for s, v in real(i, nn, pp, side).action.items()}
         if plant == "key":
             action[outside] = {inside: Fraction(1)}
@@ -437,9 +446,19 @@ def test_diamond_e_truncation_detects_off_class_entries(monkeypatch, plant):
 
 def test_diamond_range_guard():
     with pytest.raises(IndexError):
-        K.diamond(2, 8, 3)  # n2 = 2 allows only index 1
+        K.diamond(2, 8, 3, "left")  # n2 = 2 allows only index 1
     with pytest.raises(ValueError):
         K.diamond_formula_check(6, 3)  # n2 = 1: no diamonds at all
+
+
+def test_one_cache_entry_per_diamond():
+    # every caller names the side, so the left diamonds that the formula
+    # check builds serve the recursive construction and the small JMs
+    K.diamond_formula_check(12, 3)
+    misses = K.diamond.cache_info().misses
+    K.p_jones_wenzl_recursive_operator(12, 3)
+    K.small_jm(2, 12, 3)
+    assert K.diamond.cache_info().misses == misses
 
 
 def test_class_local_diamond_matches_full_basis_word():
@@ -497,25 +516,25 @@ def test_invariants_raise_under_python_O():
 def test_distant_diamonds_commute_at_14():
     # n = 14, p = 3 has four length-3 blocks, so indices 1 and 3 are the
     # first distant pair of diamonds
-    u1 = K.diamond(1, 14, 3)
-    u3 = K.diamond(3, 14, 3)
+    u1 = K.diamond(1, 14, 3, "left")
+    u3 = K.diamond(3, 14, 3, "left")
     assert K.op_product(u1, u3) == K.op_product(u3, u1)
 
 
 def test_truncation_idempotent_both_routes():
     for (n, p) in [(3, 3), (4, 3), (5, 3), (5, 5), (6, 3)]:
-        via_op = K.operator_to_element(K.truncation_idempotent(n, p))
+        via_op = K.operator_to_element(K.truncation_idempotent(n, p, "left"))
         via_sum = P.class_idempotent(T.class_of_one_column(n, p), p)
         assert via_op == via_sum
 
 
 def test_iota_klr_words_and_unit():
     n, p = 8, 3
-    e = K.truncation_idempotent(n, p)
+    e = K.truncation_idempotent(n, p, "left")
     assert K.iota_klr(TLElement.one(2), n, p) == e
-    assert K.iota_klr(TLElement.generator(1, 2), n, p) == K.diamond(1, n, p)
+    assert K.iota_klr(TLElement.generator(1, 2), n, p) == K.diamond(1, n, p, "left")
     jw2 = P.jones_wenzl(2)
-    assert K.iota_klr(jw2, n, p) == e - K.diamond(1, n, p).scale(Fraction(1, 2))
+    assert K.iota_klr(jw2, n, p) == e - K.diamond(1, n, p, "left").scale(Fraction(1, 2))
     with pytest.raises(ValueError):
         K.iota_klr(TLElement.one(3), n, p)
 
@@ -528,15 +547,15 @@ def test_iota_klr_rejects_an_element_over_fp():
         with pytest.raises(ValueError, match="not over F_p"):
             K.iota_klr(x, n, 3)
     assert K.iota_klr(TLElement.generator(1, 2, "Zp", 3), 8, 3) \
-        == K.diamond(1, 8, 3)
+        == K.diamond(1, 8, 3, "left")
     assert K.iota_klr(TLElement.one(1, "Zp", 3), 5, 3) \
-        == K.truncation_idempotent(5, 3)
+        == K.truncation_idempotent(5, 3, "left")
 
 
 def test_iota_klr_braid_image():
     # u1 u2 u1 = u1 maps to U1 U2 U1 = U1
     n, p = 11, 3
-    u1, u2 = K.diamond(1, n, p), K.diamond(2, n, p)
+    u1, u2 = K.diamond(1, n, p, "left"), K.diamond(2, n, p, "left")
     assert K.op_word_product([u1, u2, u1]) == u1
     word_elem = TLElement.generator(1, 3) * TLElement.generator(2, 3) \
         * TLElement.generator(1, 3)
@@ -577,7 +596,8 @@ def test_iota_klr_injectivity():
 
 def test_small_jm_basics():
     n, p = 9, 3
-    assert K.small_jm(2, n, p) == K.diamond(1, n, p) - K.truncation_idempotent(n, p)
+    assert K.small_jm(2, n, p) \
+        == K.diamond(1, n, p, "left") - K.truncation_idempotent(n, p, "left")
     n2 = K.n2_of(n, p)
     ops = [K.small_jm(i, n, p) for i in range(2, n2 + 1)]
     for a in ops:

@@ -25,6 +25,11 @@ def test_public_and_traced_names_resolve(monkeypatch):
             for part in attr.split("."):
                 assert hasattr(owner, part), (module, attr)
                 owner = getattr(owner, part)
+    # the tracer reads cache_info() through the span wrapper's __wrapped__,
+    # so each listed name must be the lru_cache object itself
+    for module, attr in spans.CACHE_INFO.values():
+        fn = getattr(importlib.import_module(f"tlexact.{module}"), attr)
+        assert hasattr(fn, "cache_info"), (module, attr)
     for name in tlexact.__all__:
         assert hasattr(tlexact, name), name
 

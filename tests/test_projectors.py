@@ -225,7 +225,7 @@ def test_branching_product_is_the_full_content_product():
     n, p = 14, 3
     n2 = K.n2_of(n, p)
     jms = [K.small_jm(i, n, p) for i in range(1, n2 + 1)]
-    e = K.truncation_idempotent(n, p)
+    e = K.truncation_idempotent(n, p, "left")
     for s in T.all_standard_tableaux(n2):
         assert K.iota_seminormal_idempotent(s, n, p) \
             == full_content_product(jms, T.contents(s), e), s
