@@ -21,7 +21,9 @@ Because the rules touch one side of the pair at a time, operators here are
 linear maps on single tableau indices together with a side tag; a left
 operator acts on the row index of every f_(s,t) and commutes with every
 right operator.  Operator identities are decided by evaluation on all basis
-indices, with exact rational coefficients throughout.
+indices.  An operator holds integer numerators over one common
+denominator, so the arithmetic runs on integers; ``apply_index`` gives the
+image of one index with exact ``Fraction`` coefficients.
 
 On top of the generator actions the module builds the diamond operators
 (idempotent-truncated block swaps, computed on the one-column p-class
@@ -40,8 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .coeffs import InvariantError, check_odd_prime, is_p_integral, reduce_mod_p
+from .coeffs import IntegralityViolationError, InvariantError, check_odd_prime
 from . import tableaux
 from .tableaux import Tableau
 from .diagrams import (
@@ -61,10 +64,14 @@ from .projectors import jones_wenzl, seminormal_idempotent
 
 
 class SeminormalOperator:
-    """A one-sided linear operator on the f-basis, stored as the sparse
-    images of the tableau indices of the acted-on side."""
+    """A one-sided linear operator on the f-basis: the sparse images of the
+    tableau indices of the acted-on side, stored as integer numerators
+    ``action`` (s -> {t: int}) over one positive common denominator
+    ``den``.  The form is canonical: no zero entry, no empty row, and
+    gcd(den, *numerators) == 1, so equal operators have equal tables.  The
+    constructor takes rational entries; ``apply_index`` gives Fractions."""
 
-    __slots__ = ("n", "p", "side", "action")
+    __slots__ = ("n", "p", "side", "action", "den")
 
     def __init__(self, n, p, side, action):
         if side not in ("left", "right"):
@@ -72,47 +79,76 @@ class SeminormalOperator:
         self.n = n
         self.p = p
         self.side = side
-        self.action = {s: dict(v) for s, v in action.items() if v}
+        rows = {s: {t: c if type(c) in (int, Fraction) else Fraction(c)
+                    for t, c in v.items() if c} for s, v in action.items()}
+        # over the lcm of the reduced denominators the form is canonical
+        self.den = den = lcm(*(q.denominator for v in rows.values()
+                               for q in v.values()))
+        self.action = {s: {t: q.numerator * (den // q.denominator)
+                           for t, q in v.items()} for s, v in rows.items() if v}
 
     @classmethod
     def from_rule(cls, n, p, side, rule):
         return cls(n, p, side, {s: rule(s) for s in tableaux.all_standard_tableaux(n)})
 
+    def _raw(self, action, den):
+        """An operator on the same basis and side with these numerators
+        (no zero entry, no empty row) over den > 0, in lowest terms."""
+        out = object.__new__(SeminormalOperator)
+        out.n, out.p, out.side = self.n, self.p, self.side
+        g = den if den == 1 else gcd(den, *(c for v in action.values()
+                                            for c in v.values()))
+        if g != 1:
+            action = {s: {t: c // g for t, c in v.items()}
+                      for s, v in action.items()}
+        out.action, out.den = action, den // g
+        return out
+
     def _check(self, other):
         if (self.n, self.p, self.side) != (other.n, other.p, other.side):
             raise ValueError("operators live on different bases or sides")
 
-    def apply_index(self, s: Tableau) -> dict:
-        return dict(self.action.get(s, {}))
-
-    def apply_vec(self, vec: dict) -> dict:
+    def _push(self, vec: dict) -> dict:
+        """The numerators of the image of the vector vec (index -> int) with
+        no zero entry; the image is them over self.den times vec's
+        denominator."""
         out = {}
-        for s, c in vec.items():
-            for t, c2 in self.action.get(s, {}).items():
-                new = c * c2
-                if t in out:
-                    new += out[t]
-                if new:
-                    out[t] = new
-                else:
-                    out.pop(t, None)
+        get = out.get
+        act = self.action
+        for t, c in vec.items():
+            row = act.get(t)
+            if row:
+                for u, c2 in row.items():
+                    out[u] = get(u, 0) + c * c2
+        if 0 in out.values():
+            return {u: c for u, c in out.items() if c}
         return out
 
-    def __add__(self, other):
+    def apply_index(self, s: Tableau) -> dict:
+        den = self.den
+        return {t: Fraction(c, den) for t, c in self.action.get(s, {}).items()}
+
+    def _combine(self, other, sign):
+        """self + sign * other."""
         self._check(other)
-        out = {s: dict(v) for s, v in self.action.items()}
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {s: {t: c * a for t, c in v.items()} for s, v in self.action.items()}
         for s, v in other.action.items():
-            tgt = out.setdefault(s, {})
+            row = out.setdefault(s, {})
             for t, c in v.items():
-                new = c + tgt[t] if t in tgt else c
+                new = row.get(t, 0) + c * b
                 if new:
-                    tgt[t] = new
+                    row[t] = new
                 else:
-                    tgt.pop(t, None)
-        return SeminormalOperator(self.n, self.p, self.side, out)
+                    del row[t]
+        return self._raw({s: v for s, v in out.items() if v}, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         return op_product(self, other)
@@ -120,29 +156,39 @@ class SeminormalOperator:
     def scale(self, c):
         c = Fraction(c)
         if not c:
-            return SeminormalOperator(self.n, self.p, self.side, {})
-        return SeminormalOperator(self.n, self.p, self.side, {
-            s: {t: v * c for t, v in vec.items()}
-            for s, vec in self.action.items()})
+            return self._raw({}, 1)
+        a = c.numerator
+        return self._raw({s: {t: v * a for t, v in vec.items()}
+                          for s, vec in self.action.items()},
+                         self.den * c.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, SeminormalOperator):
             return NotImplemented
-        return (self.n, self.p, self.side) == (other.n, other.p, other.side) \
+        return (self.n, self.p, self.side, self.den) \
+            == (other.n, other.p, other.side, other.den) \
             and self.action == other.action
 
     def is_zero(self):
         return not self.action
 
     def entries_p_integral(self) -> bool:
-        return all(is_p_integral(c, self.p)
-                   for vec in self.action.values() for c in vec.values())
+        # canonical form: p divides den iff it divides the reduced
+        # denominator of some entry
+        return self.den % check_odd_prime(self.p) != 0
 
     def reduced_action_mod_p(self) -> dict:
-        """Matrix entries reduced mod p (requires p-integrality)."""
+        """Matrix entries reduced mod p; raises IntegralityViolationError
+        if an entry has p in its denominator."""
+        p, den = check_odd_prime(self.p), self.den
+        if den % p == 0:
+            c = next(q for s in self.action for q in self.apply_index(s).values()
+                     if q.denominator % p == 0)
+            raise IntegralityViolationError(c, p)
+        inv = pow(den, -1, p)
         out = {}
         for s, vec in self.action.items():
-            red = {t: v for t, c in vec.items() if (v := reduce_mod_p(c, self.p))}
+            red = {t: v for t, c in vec.items() if (v := c * inv % p)}
             if red:
                 out[s] = red
         return out
@@ -162,9 +208,7 @@ def op_identity(n, p, side) -> SeminormalOperator:
 
 
 def op_projection(tabs, n, p, side) -> SeminormalOperator:
-    keep = set(tabs)
-    return SeminormalOperator(n, p, side,
-                              {s: {s: Fraction(1)} for s in keep})
+    return SeminormalOperator(n, p, side, {s: {s: 1} for s in tabs})
 
 
 def op_product(x: SeminormalOperator, y: SeminormalOperator) -> SeminormalOperator:
@@ -172,12 +216,9 @@ def op_product(x: SeminormalOperator, y: SeminormalOperator) -> SeminormalOperat
     factor acts first; for right operators the left factor acts first."""
     x._check(y)
     first, second = (y, x) if x.side == "left" else (x, y)
-    out = {}
-    for s, vec in first.action.items():
-        img = second.apply_vec(vec)
-        if img:
-            out[s] = img
-    return SeminormalOperator(x.n, x.p, x.side, out)
+    push = second._push
+    out = {s: img for s, vec in first.action.items() if (img := push(vec))}
+    return x._raw(out, x.den * y.den)
 
 
 def op_word_product(ops) -> SeminormalOperator:
@@ -197,21 +238,23 @@ def act_e(iseq, n: int, p: int, side: str = "left") -> SeminormalOperator:
     given residue sequence."""
     check_odd_prime(p)
     iseq = tuple(iseq)
-    return SeminormalOperator(n, p, side, {
-        s: {s: Fraction(1)}
-        for s in tableaux.all_standard_tableaux(n)
-        if tableaux._residues(s, p) == iseq})
+    if len(iseq) != n:
+        raise ValueError(f"residue sequence {iseq} has length {len(iseq)}, "
+                         f"expected n = {n}")
+    return op_projection((s for s in tableaux.all_standard_tableaux(n)
+                          if tableaux._residues(s, p) == iseq), n, p, side)
 
 
 def act_y(l: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     """Diagonal action by the nilpotent part c(l) - (c(l) mod p)."""
     if not 1 <= l <= n:
         raise IndexError(f"index {l} out of range")
+    check_odd_prime(p)
 
     def rule(s):
         c = tableaux.content(s, l)
         ev = c - c % p
-        return {s: Fraction(ev)} if ev else {}
+        return {s: ev} if ev else {}
 
     return SeminormalOperator.from_rule(n, p, side, rule)
 
@@ -276,6 +319,7 @@ def act_u(i: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
     star-invariant."""
     if not 1 <= i < n:
         raise IndexError(f"index {i} out of range")
+    check_odd_prime(p)
 
     def rule(s):
         cont = tableaux.contents(s)
@@ -325,6 +369,9 @@ def klr_relations_check(n: int, p: int) -> list:
     i in one pass, so the work per residue sequence is a comparison on its
     block, not a product over the whole basis.
 
+    The e-relations are evaluated on each basis index, and every cut is
+    compared as integer numerators over the denominator of the cut word.
+
     Returns a list of report dicts, one per relation family.
     """
     check_odd_prime(p)
@@ -334,6 +381,7 @@ def klr_relations_check(n: int, p: int) -> list:
               for cls in tableaux.all_p_classes(n, p)}
     seqs = tuple(sorted(blocks))
     block_of = {s: i for i, cls in blocks.items() for s in cls}
+    basis = tableaux.all_standard_tableaux(n)
     reports = []
 
     for side in ("left", "right"):
@@ -342,28 +390,50 @@ def klr_relations_check(n: int, p: int) -> list:
         Y = {l: act_y(l, n, p, side) for l in range(1, n + 1)}
         PSI = {k: act_psi(k, n, p, side) for k in range(1, n)}
         one = op_identity(n, p, side)
-        zero = op_zero(n, p, side)
 
         def prod(*ops):
             return op_word_product(ops)
 
         def times_e(X):
-            """X e(i) for every i, keyed by i."""
+            """The numerators of X e(i) for every i, keyed by i; they are
+            over X.den."""
             return _e_parts(X, block_of, side == "left")
 
         def e_times(X):
-            """e(i) X for every i, keyed by i."""
+            """The numerators of e(i) X for every i, keyed by i."""
             return _e_parts(X, block_of, side == "right")
 
-        # e(i) e(j) = delta e(i); sum over achievable i is the identity
-        bad = next((
-            (i, j) for i in seqs for j in seqs
-            if prod(E[i], E[j]) != (E[i] if i == j else zero)), None)
+        def c_e(i, c, den):
+            """The numerators of c e(i) over den."""
+            return {s: {s: c * den} for s in blocks[i]} if c else {}
+
+        # e(i) e(j) = delta e(i) on each index s: e(j) acts first on the
+        # left, e(i) on the right; an image that is already zero gives
+        # zero on both sides of the relation
+        bad = set()
+        for s in basis:
+            for a in seqs:
+                img = E[a].action.get(s)
+                if not img:
+                    continue
+                for b in seqs:
+                    want = {t: c * E[b].den for t, c in img.items()} if a == b else {}
+                    if E[b]._push(img) != want:
+                        bad.add((b, a) if side == "left" else (a, b))
+        bad = min(bad, default=None)
         reports.append(_report(f"e-orthogonality {tag}", n, p, bad is None, bad))
-        total = op_zero(n, p, side)
-        for i in seqs:
-            total = total + E[i]
-        reports.append(_report(f"e-completeness {tag}", n, p, total == one))
+        # sum over achievable i of e(i) is the identity, on each index s
+        ok = True
+        for s in basis:
+            total = {}
+            for i in seqs:
+                if s in E[i].action:
+                    for t, c in E[i].apply_index(s).items():
+                        total[t] = total.get(t, 0) + c
+            if {t: c for t, c in total.items() if c} != one.apply_index(s):
+                ok = False
+                break
+        reports.append(_report(f"e-completeness {tag}", n, p, ok))
 
         # residue sequences of standard tableaux always start at 0
         bad = next((i for i in seqs if i[0] != 0), None)
@@ -404,14 +474,15 @@ def klr_relations_check(n: int, p: int) -> list:
         # psi_k y_(k+1) e(i) = (y_k psi_k + delta) e(i), and the mirror
         bad = None
         for k in PSI:
-            psi_y = times_e(prod(PSI[k], Y[k + 1]) - prod(Y[k], PSI[k]))
-            y_psi = times_e(prod(Y[k + 1], PSI[k]) - prod(PSI[k], Y[k]))
+            psi_y = prod(PSI[k], Y[k + 1]) - prod(Y[k], PSI[k])
+            y_psi = prod(Y[k + 1], PSI[k]) - prod(PSI[k], Y[k])
+            psi_y_e, y_psi_e = times_e(psi_y), times_e(y_psi)
             for i in seqs:
-                delta = E[i].action if i[k - 1] == i[k] else {}
-                if psi_y.get(i, {}) != delta:
+                delta = int(i[k - 1] == i[k])
+                if psi_y_e.get(i, {}) != c_e(i, delta, psi_y.den):
                     bad = ("psi*y", k, i)
                     break
-                if y_psi.get(i, {}) != delta:
+                if y_psi_e.get(i, {}) != c_e(i, delta, y_psi.den):
                     bad = ("y*psi", k, i)
                     break
             if bad:
@@ -431,8 +502,9 @@ def klr_relations_check(n: int, p: int) -> list:
         # braid deviation
         bad = None
         for k in range(1, n - 1):
-            braid = times_e(prod(PSI[k], PSI[k + 1], PSI[k])
-                            - prod(PSI[k + 1], PSI[k], PSI[k + 1]))
+            braid = prod(PSI[k], PSI[k + 1], PSI[k]) \
+                - prod(PSI[k + 1], PSI[k], PSI[k + 1])
+            cuts = times_e(braid)
             for i in seqs:
                 ik, ik1, ik2 = i[k - 1], i[k], i[k + 1]
                 if ik2 == ik and ik1 == (ik + 1) % p:
@@ -441,7 +513,7 @@ def klr_relations_check(n: int, p: int) -> list:
                     c = 1
                 else:
                     c = 0
-                if braid.get(i, {}) != E[i].scale(c).action:
+                if cuts.get(i, {}) != c_e(i, c, braid.den):
                     bad = (k, i)
                     break
             if bad:
@@ -456,9 +528,8 @@ def klr_relations_check(n: int, p: int) -> list:
             # (psi_k^2 - y_k + y_(k+1)) e(i) = c e(i), and likewise for the
             # mirror, so every branch compares one of three words with c e(i)
             sq = prod(PSI[k], PSI[k])
-            square = times_e(sq)
-            up = times_e(sq - Y[k] + Y[k + 1])
-            down = times_e(sq - Y[k + 1] + Y[k])
+            square, up, down = ((times_e(w), w.den) for w in
+                                (sq, sq - Y[k] + Y[k + 1], sq - Y[k + 1] + Y[k]))
             for i in seqs:
                 ik, ik1 = i[k - 1], i[k]
                 if ik1 == (ik + 1) % p and ik1 != 0:
@@ -473,7 +544,8 @@ def klr_relations_check(n: int, p: int) -> list:
                     br, word, c = "zero", square, 0
                 else:
                     br, word, c = "identity", square, 1
-                if word.get(i, {}) != E[i].scale(c).action:
+                cuts, den = word
+                if cuts.get(i, {}) != c_e(i, c, den):
                     bad = (k, i, br)
                     break
                 if not E[i].is_zero():
@@ -534,8 +606,11 @@ def diamond(i: int, n: int, p: int, side: str) -> SeminormalOperator:
     for s in cls:
         vec = {s: Fraction(1)}
         for k in word:
-            psi = {t: _psi_images(t, k, p, side) for t in vec}
-            vec = SeminormalOperator(n, p, side, psi).apply_vec(vec)
+            out = {}
+            for t, c in vec.items():
+                for u, c2 in _psi_images(t, k, p, side).items():
+                    out[u] = out[u] + c * c2 if u in out else c * c2
+            vec = {u: c for u, c in out.items() if c}
         action[s] = {t: c for t, c in vec.items() if t in keep}
     return SeminormalOperator(n, p, side, action)
 

@@ -28,6 +28,9 @@ Criteria:
  9. Recursive = direct p-Jones-Wenzl in seminormal coordinates past the
     full basis, at (24,3), (30,5) and (56,7), where the diamonds are built
     on the one-column class alone; under 60 s.
+10. The p = 7 suite: the KLR relation suite at (8,7) and (10,7), with all
+    six psi-squared branches exercised on both sides, and the diamond
+    suite for n = 20..27 at p = 7; under 120 s.
 """
 
 import time
@@ -279,3 +282,21 @@ def test_criterion_9_recursive_past_the_full_basis():
         for (n, p) in [(24, 3), (30, 5), (56, 7)]:
             assert K.p_jones_wenzl_recursive_operator(n, p) \
                 == K.direct_projection_operator(n, p), (n, p)
+
+
+def test_criterion_10_p7_suite():
+    with criterion("criterion 10: KLR suite at (8,7), (10,7); diamond suite "
+                   "n=20..27, p=7", 120):
+        branches = {"y_k - y_(k+1)", "y_k + p - y_(k+1)", "y_(k+1) - y_k",
+                    "y_(k+1) + p - y_k", "zero", "identity"}
+        for n in (8, 10):
+            reports = K.klr_relations_check(n, 7)
+            for r in reports:
+                assert r["pass"], r
+            squares = [r for r in reports if r["check"].startswith("psi-squared")]
+            assert len(squares) == 2
+            for r in squares:
+                assert set(r["branches_exercised"]) == branches, r
+        for n in range(20, 28):
+            for r in K.diamond_formula_check(n, 7):
+                assert r["pass"], r

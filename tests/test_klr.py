@@ -11,6 +11,8 @@ from tlexact import tableaux as T
 from tlexact import diagrams as D
 from tlexact import projectors as P
 from tlexact import klr as K
+from tlexact.coeffs import (IntegralityViolationError, InvalidPrimeError,
+                            is_p_integral, reduce_mod_p)
 from tlexact.diagrams import TLElement
 
 
@@ -36,6 +38,22 @@ def test_act_e_projection_and_partition():
     assert K.act_e(i, n, p, "left").apply_index(s) == {s: Fraction(1)}
     other = tuple((x + 1) % p for x in i)
     assert K.act_e(other, n, p, "left").apply_index(s) == {}
+
+
+def test_act_e_needs_a_sequence_of_length_n():
+    with pytest.raises(ValueError):
+        K.act_e((0, 1), 5, 3)
+    with pytest.raises(ValueError):
+        K.act_e((0, 1, 2, 0, 1, 2), 5, 3, "right")
+    assert K.act_e((1, 0, 0, 0, 0), 5, 3).is_zero()
+
+
+def test_generator_actions_need_an_odd_prime():
+    for bad in (4, 2, 9):
+        for act in (K.act_e, K.act_y, K.act_psi, K.act_u):
+            args = ((0,) * 4,) if act is K.act_e else (2,)
+            with pytest.raises(InvalidPrimeError):
+                act(*args, 4, bad, "left")
 
 
 def test_act_y_examples():
@@ -341,6 +359,37 @@ def test_klr_relations_detect_a_y_eigenvalue(monkeypatch, side):
     _assert_same_failures(n, p, side)
 
 
+def test_e_relations_detect_planted_projection_entries(monkeypatch):
+    # off-block entries planted in two block projections (both suites build
+    # e(i) with op_projection): the per-index e-checks fail on both sides
+    # with the reference's first failing (i, j)
+    n, p = 6, 3
+    basis = T.all_standard_tableaux(n)
+    plants = {basis[9]: basis[0], basis[5]: basis[2]}
+    assert all(T.residue_sequence(s, p) != T.residue_sequence(t, p)
+               for s, t in plants.items())
+    real = K.op_projection
+
+    def planted(tabs, nn, pp, side):
+        op = real(tabs, nn, pp, side)
+        if len(op.action) == len(T.all_standard_tableaux(nn)):
+            return op  # the identity stays
+        table = {s: op.apply_index(s) for s in op.action}
+        for s, t in plants.items():
+            if s in table:
+                table[s][t] = Fraction(1)
+        return K.SeminormalOperator(nn, pp, side, table)
+
+    monkeypatch.setattr(K, "op_projection", planted)
+    got = [r for r in K.klr_relations_check(n, p) if r["check"].startswith("e-")]
+    want = [r for r in reference_relations_check(n, p)
+            if r["check"].startswith("e-")]
+    assert got == want
+    failed = {r["check"] for r in got if not r["pass"]}
+    assert failed == {f"e-{c} [{side}]" for c in ("orthogonality", "completeness")
+                      for side in ("left", "right")}
+
+
 def test_bimodule_consistency():
     # left and right generator actions commute through the pair basis
     def act_pair(op, vec):
@@ -431,7 +480,8 @@ def test_diamond_e_truncation_detects_off_class_entries(monkeypatch, plant):
     real = K.diamond
 
     def planted(i, nn, pp, side):
-        action = {s: dict(v) for s, v in real(i, nn, pp, side).action.items()}
+        dia = real(i, nn, pp, side)
+        action = {s: dia.apply_index(s) for s in dia.action}
         if plant == "key":
             action[outside] = {inside: Fraction(1)}
         else:
@@ -570,8 +620,8 @@ def test_iota_klr_injectivity():
         keys = set()
         for d in D.all_matchings(n2):
             op = K.iota_klr(TLElement(n2, {d: 1}), n, p)
-            vec = {(s, t): c for s, img in op.action.items()
-                   for t, c in img.items()}
+            vec = {(s, t): c for s in op.action
+                   for t, c in op.apply_index(s).items()}
             keys.update(vec)
             vecs.append(vec)
         keys = sorted(keys)
@@ -605,8 +655,8 @@ def test_small_jm_basics():
             assert K.op_product(a, b) == K.op_product(b, a)
         # star symmetry: the left and right action tables coincide
     for i in range(2, n2 + 1):
-        assert K.small_jm(i, n, p, "left").action \
-            == K.small_jm(i, n, p, "right").action
+        left, right = K.small_jm(i, n, p, "left"), K.small_jm(i, n, p, "right")
+        assert (left.action, left.den) == (right.action, right.den)
 
 
 def test_small_jm_recursion_matches_the_palindrome_sums():
@@ -636,7 +686,8 @@ def test_small_jm_eigenvalues_past_the_full_basis():
                 c = T.content(T.collapse(t, p)[0], i)
                 if c:
                     want[t] = {t: Fraction(c)}
-            assert K.small_jm(i, n, p, side).action == want, (side, i)
+            jm = K.small_jm(i, n, p, side)
+            assert {t: jm.apply_index(t) for t in jm.action} == want, (side, i)
 
 
 def test_iota_idempotents_past_the_full_basis():
@@ -647,6 +698,44 @@ def test_iota_idempotents_past_the_full_basis():
     for s in T.all_standard_tableaux(K.n2_of(n, p))[::50]:
         assert K.iota_seminormal_idempotent(s, n, p) \
             == K.op_projection(T.collapse_fiber(s, n, p), n, p, "left"), s
+
+
+def _entries(op):
+    return [(s, t, c) for s in op.action for t, c in op.apply_index(s).items()]
+
+
+def test_mod_p_helpers_read_the_common_denominator():
+    # oracle: one coeffs call per entry, read through apply_index
+    n, p = 11, 3
+    e = K.truncation_idempotent(n, p, "left")
+    cabling = [K.op_word_product([e] + [K.act_u(w, n, p, "left")
+                                        for w in K.block_swap_word(i, p)] + [e])
+               for i in (1, 2)]  # demo 06's cabling operators
+    ops = cabling + [K.diamond(2, n, p, "left"), K.act_psi(3, 7, 3, "right"),
+                     K.act_u(2, 7, 3, "left"), K.act_psi(2, 7, 5, "left"),
+                     K.op_identity(4, 3, "left").scale(Fraction(2, 3)),
+                     K.op_zero(4, 3, "left")]
+    seen = set()
+    for op in ops:
+        integral = all(is_p_integral(c, op.p) for *_, c in _entries(op))
+        assert op.entries_p_integral() == integral
+        seen.add(integral)
+        if not integral:
+            with pytest.raises(IntegralityViolationError):
+                op.reduced_action_mod_p()
+            continue
+        want = {}
+        for s, t, c in _entries(op):
+            if (v := reduce_mod_p(c, op.p)):
+                want.setdefault(s, {})[t] = v
+        assert op.reduced_action_mod_p() == want
+    assert seen == {True, False}
+    assert all(op.entries_p_integral() for op in cabling)
+    not_prime = K.op_identity(4, 9, "left").scale(Fraction(1, 3))
+    with pytest.raises(InvalidPrimeError):
+        not_prime.entries_p_integral()
+    with pytest.raises(InvalidPrimeError):
+        not_prime.reduced_action_mod_p()
 
 
 def test_operator_product_needs_one_side():

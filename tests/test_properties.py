@@ -1,9 +1,12 @@
 """Property tests of the factored element product against strand tracing,
-and of the canonical integer-numerator form of elements.
+of the canonical integer-numerator form of elements, and of the seminormal
+operator arithmetic against Fraction tables.
 
 The reference product glues every diagram pair with compose_pairings, the
 independent strand tracer, and weights it by 2^loops; it reads the
-coefficients through the ``terms`` view, not the numerators.
+coefficients through the ``terms`` view, not the numerators.  The
+reference operator arithmetic keeps one Fraction per entry (s -> {t: q})
+and is compared with operators read through ``apply_index``.
 """
 
 from fractions import Fraction
@@ -13,6 +16,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from tlexact import diagrams as D
+from tlexact import klr as K
 from tlexact import tableaux as T
 from tlexact.diagrams import TLElement
 
@@ -127,3 +131,114 @@ def test_cell_action_matches_pairwise_reference(case):
     halves = TLElement(a.n, {D.pad(D.half_diagram(t)): c for t, c in v.coords.items()})
     want = D.cell_coords(reference_product(a.star(), halves).terms, v.shape)
     assert D.cell_action(v, a) == D.CellVector(v.shape, want)
+
+
+# ---------------------------------------------------------------------------
+# seminormal operators: integer numerators over one denominator against
+# one Fraction per entry
+
+
+def ref_apply_vec(action, vec):
+    out = {}
+    for s, c in vec.items():
+        for t, c2 in action.get(s, {}).items():
+            new = c * c2
+            if t in out:
+                new += out[t]
+            if new:
+                out[t] = new
+            else:
+                out.pop(t, None)
+    return out
+
+
+def ref_product(x, y, side):
+    first, second = (y, x) if side == "left" else (x, y)
+    return {s: img for s, vec in first.items() if (img := ref_apply_vec(second, vec))}
+
+
+def ref_add(x, y):
+    out = {s: dict(v) for s, v in x.items()}
+    for s, v in y.items():
+        tgt = out.setdefault(s, {})
+        for t, c in v.items():
+            new = c + tgt[t] if t in tgt else c
+            if new:
+                tgt[t] = new
+            else:
+                tgt.pop(t, None)
+    return {s: v for s, v in out.items() if v}
+
+
+def ref_scale(x, c):
+    return {s: {t: v * c for t, v in vec.items()} for s, vec in x.items()} if c else {}
+
+
+def table(op):
+    """The operator's entries as Fractions, read through apply_index."""
+    return {s: op.apply_index(s) for s in op.action}
+
+
+def assert_canonical_operator(op):
+    entries = [c for v in op.action.values() for c in v.values()]
+    assert op.den > 0 and gcd(op.den, *entries) == 1
+    assert all(op.action.values()) and all(entries)
+    assert all(isinstance(c, int) for c in entries)
+
+
+@st.composite
+def operator_tables(draw, n, max_rows=8):
+    """A sparse Fraction table on the tableaux of size n, with explicit
+    zeros and empty rows, which the constructor drops."""
+    basis = T.all_standard_tableaux(n)
+    rows = draw(st.lists(st.sampled_from(basis), max_size=max_rows, unique=True))
+    return {s: {t: Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+                for t in draw(st.lists(st.sampled_from(basis), max_size=4,
+                                       unique=True))}
+            for s in rows}
+
+
+@st.composite
+def operator_pairs(draw):
+    n = draw(st.integers(1, 6))
+    p = draw(st.sampled_from(PRIMES))
+    side = draw(st.sampled_from(("left", "right")))
+    x, y = draw(operator_tables(n)), draw(operator_tables(n))
+    return n, p, side, x, y
+
+
+def nonzero(x):
+    return {s: r for s, v in x.items() if (r := {t: c for t, c in v.items() if c})}
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_pairs(), st.fractions(max_denominator=12).filter(
+    lambda c: abs(c) <= 9))
+def test_operator_arithmetic_matches_fraction_tables(case, c):
+    n, p, side, x, y = case
+    a, b = (K.SeminormalOperator(n, p, side, t) for t in (x, y))
+    x, y = nonzero(x), nonzero(y)
+    assert table(a) == x and table(b) == y
+    results = {
+        "a*b": (a * b, ref_product(x, y, side)),
+        "b*a": (b * a, ref_product(y, x, side)),
+        "a+b": (a + b, ref_add(x, y)),
+        "a-b": (a - b, ref_add(x, ref_scale(y, -1))),
+        "scale": (a.scale(c), ref_scale(x, c)),
+        "scale0": (a.scale(0), {}),
+    }
+    for name, (got, want) in results.items():
+        assert_canonical_operator(got)
+        assert table(got) == want, name
+        assert got == K.SeminormalOperator(n, p, side, want), name
+    for s in T.all_standard_tableaux(n):
+        assert a.apply_index(s) == x.get(s, {})
+        assert (a * b).apply_index(s) == ref_product(x, y, side).get(s, {})
+    assert (a == b) == (x == y)
+    assert (a == a.scale(c)) == (c == 1 or not x)
+    assert a != a.scale(2) or not x
+    assert a - a == K.op_zero(n, p, side) and (a - a).den == 1
+    if c:
+        assert a.scale(c).scale(1 / c) == a
+    other = "right" if side == "left" else "left"
+    assert a != K.SeminormalOperator(n, p, other, x)
