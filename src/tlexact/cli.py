@@ -35,7 +35,7 @@ from . import klr
 
 # the full diagram expansion of the recursive construction is kept
 # element-level up to this size; beyond it the comparison runs in f-basis
-# coordinates unless --slow-expand forces the expansion
+# coordinates
 _EXPAND_LIMIT = 9
 # the KLR relation suite spans the whole f-basis: about 1 s at n = 10
 _KLR_LIMIT = 10
@@ -114,21 +114,21 @@ def _cmd_pjw(args):
     method = args.method
     if method != "direct" and args.n < args.p:
         raise UsageError("the recursive construction needs n >= p")
+    expand = args.n <= _EXPAND_LIMIT
+    if method == "recursive" and not expand:
+        raise UsageError(f"--method recursive prints the diagram expansion, "
+                         f"kept to n <= {_EXPAND_LIMIT}; use --method both")
     cache, path = _load_cache(args)
-    expand = args.n <= _EXPAND_LIMIT or args.slow_expand
     status = 0
     direct = recursive = None
     if method in ("direct", "both") and expand:
         direct = projectors.p_jones_wenzl_direct(args.n, args.p)
     if method in ("recursive", "both"):
         if expand:
-            if args.n >= 10:
-                _progress("materializing the recursive construction "
-                          f"at n={args.n}; this is the slow path")
             recursive = klr.p_jones_wenzl_recursive(args.n, args.p)
         else:
             _progress(f"n={args.n} > {_EXPAND_LIMIT}: comparing in f-basis "
-                      "coordinates (use --slow-expand for the full expansion)")
+                      "coordinates")
     if method == "both":
         if expand:
             same = direct == recursive
@@ -144,8 +144,8 @@ def _cmd_pjw(args):
     out = direct if direct is not None else recursive
     if out is not None:
         _print_element(_in_ring(out, args), args.json)
-    elif method != "both":
-        # no expansion requested or possible: print the index set summary
+    elif method == "direct":
+        # past the expansion limit: print the index set summary
         tabs = tableaux.index_set_tableaux(args.n, args.p)
         doc = {"n": args.n, "p": args.p,
                "summands": [{"index": m, "tableau": list(t)}
@@ -261,7 +261,7 @@ def _cmd_verify_all(args):
                             "counterexample": str(exc)})
     else:
         _progress(f"skipping diagram-level integrality at n={n} "
-                  f"(> {_EXPAND_LIMIT}); see --slow-expand on pjw")
+                  f"(> {_EXPAND_LIMIT})")
     if n >= p:
         same = (klr.p_jones_wenzl_recursive_operator(n, p)
                 == klr.direct_projection_operator(n, p))
@@ -282,9 +282,6 @@ _FLAGS = {
     "--json": {"action": "store_true"},
     "--max-n": {"type": int, "default": 12,
                 "help": "safety limit on the strand count (default 12)"},
-    "--slow-expand": {"action": "store_true",
-                      "help": "force full diagram expansions past the "
-                      "feasibility threshold"},
 }
 
 _CHECK_FLAGS = ("--n", "--p", "--json", "--max-n")
@@ -293,7 +290,7 @@ _CHECK_FLAGS = ("--n", "--p", "--json", "--max-n")
 _COMMANDS = {
     "jw": (_cmd_jw, ("--n", "--cache", "--json", "--max-n")),
     "pjw": (_cmd_pjw, ("--n", "--p", "--ring", "--method", "--cache",
-                       "--json", "--max-n", "--slow-expand")),
+                       "--json", "--max-n")),
     "idempotent": (_cmd_idempotent, ("--tableau", "--p", "--ring", "--cache",
                                      "--json", "--max-n")),
     "classes": (_cmd_classes, _CHECK_FLAGS),

@@ -900,17 +900,6 @@ def cell_action(v: CellVector, a: TLElement) -> CellVector:
     return CellVector(v.shape, cell_coords((a.star() * h).terms, v.shape))
 
 
-def cell_matrix(a: TLElement, shape) -> dict:
-    """Matrix of the right action of ``a`` on the cell module of ``shape``:
-    entry (w, u) is the coefficient of C_w in C_u * a."""
-    mat = {}
-    for u in tableaux.standard_tableaux(tuple(shape)):
-        img = cell_action(CellVector.basis_vector(u), a)
-        for w, c in img.coords.items():
-            mat[(w, u)] = c
-    return mat
-
-
 def cell_representation_rank(n: int) -> int:
     """Rank mod q = 1000003 of the map sending a diagram to the tuple of its
     cell-module matrices over all shapes.  Full rank (= Catalan(n)) certifies

@@ -340,6 +340,19 @@ def _report(check, n, p, ok, counterexample=None):
     return entry
 
 
+def _reporter(reports, n, p, side):
+    """report(check, bad, **extra) appends the report of one family on this
+    side: it passes iff bad is None; bad is its counterexample unless True."""
+    def report(check, bad, **extra):
+        reports.append({**_report(f"{check} [{side}]", n, p, bad is None,
+                                  None if bad is True else bad), **extra})
+    return report
+
+
+def _commutes(a: SeminormalOperator, b: SeminormalOperator) -> bool:
+    return a * b == b * a
+
+
 def _e_parts(X: SeminormalOperator, block_of: dict, domain: bool) -> dict:
     """Cut X along the residue blocks in one pass.  parts[i] is the action
     table of X restricted to the indices in block i (domain=True) or of X
@@ -362,15 +375,13 @@ def klr_relations_check(n: int, p: int) -> list:
     indices and right action on column indices).
 
     The residue sequences group the C(n, n/2) tableaux into blocks, and
-    e(i) is the projection onto block i.  Each relation word that does not
-    depend on i (psi_k^2 and its y-differences, the braid and psi-y
-    differences, and psi_k and y_l themselves) is built once per k on the
-    whole basis and cut into its truncations X e(i) (or e(i) X) for every
-    i in one pass, so the work per residue sequence is a comparison on its
-    block, not a product over the whole basis.
-
-    The e-relations are evaluated on each basis index, and every cut is
-    compared as integer numerators over the denominator of the cut word.
+    e(i) is the projection onto block i.  The e-relations are evaluated on
+    each basis index.  Every other family goes through one of three
+    evaluators.  A word X that does not depend on i is built once on the
+    whole basis and its cuts X e(i) are compared, as integer numerators
+    over X.den, with c e(i) (``cut_vs_scalar``) or with e(j) X
+    (``cut_vs_cut``), so the work per residue sequence is a comparison on
+    its block; the distant relations compare whole products (``_commutes``).
 
     Returns a list of report dicts, one per relation family.
     """
@@ -384,28 +395,50 @@ def klr_relations_check(n: int, p: int) -> list:
     basis = tableaux.all_standard_tableaux(n)
     reports = []
 
+    def braid_sign(i, k):
+        """c with (psi_k psi_(k+1) psi_k - psi_(k+1) psi_k psi_(k+1)) e(i)
+        = c e(i)."""
+        ik, ik1 = i[k - 1], i[k]
+        if i[k + 1] != ik:
+            return 0
+        return -1 if ik1 == (ik + 1) % p else int(ik == (ik1 + 1) % p)
+
+    def psi_square_branch(i, k):
+        """The branch of psi_k^2 e(i), the word W among psi_k^2 ("square"),
+        psi_k^2 - y_k + y_(k+1) ("up") and psi_k^2 - y_(k+1) + y_k
+        ("down"), and the c with W e(i) = c e(i); the +p corrections sit at
+        the quiver edge through 0."""
+        ik, ik1 = i[k - 1], i[k]
+        if ik1 == (ik + 1) % p:
+            return ("y_k - y_(k+1)", "up", 0) if ik1 else ("y_k + p - y_(k+1)", "up", p)
+        if ik == (ik1 + 1) % p:
+            return (("y_(k+1) - y_k", "down", 0) if ik
+                    else ("y_(k+1) + p - y_k", "down", p))
+        return ("zero", "square", 0) if ik == ik1 else ("identity", "square", 1)
+
     for side in ("left", "right"):
-        tag = f"[{side}]"
+        report = _reporter(reports, n, p, side)
         E = {i: op_projection(blocks[i], n, p, side) for i in seqs}
         Y = {l: act_y(l, n, p, side) for l in range(1, n + 1)}
         PSI = {k: act_psi(k, n, p, side) for k in range(1, n)}
-        one = op_identity(n, p, side)
 
-        def prod(*ops):
-            return op_word_product(ops)
+        def cut_vs_scalar(X, c_of):
+            """Each i in seqs, in order, with X e(i) != c_of(i) e(i); an i
+            with c_of(i) None is skipped."""
+            cuts = _e_parts(X, block_of, side == "left")
+            for i in seqs:
+                c = c_of(i)
+                if c is not None and cuts.get(i, {}) != \
+                        ({s: {s: c * X.den} for s in blocks[i]} if c else {}):
+                    yield i
 
-        def times_e(X):
-            """The numerators of X e(i) for every i, keyed by i; they are
-            over X.den."""
-            return _e_parts(X, block_of, side == "left")
-
-        def e_times(X):
-            """The numerators of e(i) X for every i, keyed by i."""
-            return _e_parts(X, block_of, side == "right")
-
-        def c_e(i, c, den):
-            """The numerators of c e(i) over den."""
-            return {s: {s: c * den} for s in blocks[i]} if c else {}
+        def cut_vs_cut(X, move):
+            """Each i in seqs, in order, with X e(i) != e(move(i)) X."""
+            x_e = _e_parts(X, block_of, side == "left")
+            e_x = _e_parts(X, block_of, side == "right")
+            for i in seqs:
+                if x_e.get(i, {}) != e_x.get(move(i), {}):
+                    yield i
 
         # e(i) e(j) = delta e(i) on each index s: e(j) acts first on the
         # left, e(i) on the right; an image that is already zero gives
@@ -420,141 +453,85 @@ def klr_relations_check(n: int, p: int) -> list:
                     want = {t: c * E[b].den for t, c in img.items()} if a == b else {}
                     if E[b]._push(img) != want:
                         bad.add((b, a) if side == "left" else (a, b))
-        bad = min(bad, default=None)
-        reports.append(_report(f"e-orthogonality {tag}", n, p, bad is None, bad))
-        # sum over achievable i of e(i) is the identity, on each index s
-        ok = True
-        for s in basis:
-            total = {}
-            for i in seqs:
-                if s in E[i].action:
-                    for t, c in E[i].apply_index(s).items():
-                        total[t] = total.get(t, 0) + c
-            if {t: c for t, c in total.items() if c} != one.apply_index(s):
-                ok = False
-                break
-        reports.append(_report(f"e-completeness {tag}", n, p, ok))
+        report("e-orthogonality", min(bad, default=None))
+        # sum over achievable i of e(i) is the identity: one pass over the
+        # rows of the e(i)
+        total = {}
+        for i in seqs:
+            for s in E[i].action:
+                row = total.setdefault(s, {})
+                for t, c in E[i].apply_index(s).items():
+                    row[t] = row.get(t, 0) + c
+        report("e-completeness", SeminormalOperator(n, p, side, total)
+               != op_identity(n, p, side) or None)
 
         # residue sequences of standard tableaux always start at 0
-        bad = next((i for i in seqs if i[0] != 0), None)
-        reports.append(_report(f"e-zero-when-i1-nonzero {tag}", n, p, bad is None, bad))
+        report("e-zero-when-i1-nonzero", next((i for i in seqs if i[0] != 0), None))
 
-        # y_1 e(i) = 0 and commutations
-        reports.append(_report(f"y1-vanishes {tag}", n, p, not times_e(Y[1])))
-        # both orders of a pair fail together: try each unordered pair once
-        bad = next((
-            (l, m) for l in Y for m in Y
-            if l < m and prod(Y[l], Y[m]) != prod(Y[m], Y[l])), None)
-        reports.append(_report(f"y-commute {tag}", n, p, bad is None, bad))
-        bad = None
-        for l in Y:
-            y_e, e_y = times_e(Y[l]), e_times(Y[l])
-            bad = next(((l, i) for i in seqs
-                        if y_e.get(i, {}) != e_y.get(i, {})), None)
-            if bad:
-                break
-        reports.append(_report(f"ye-commute {tag}", n, p, bad is None, bad))
+        # y_1 e(i) = 0 and commutations; both orders of a pair fail
+        # together, so each unordered pair is tried once
+        report("y1-vanishes", any(cut_vs_scalar(Y[1], lambda i: 0)) or None)
+        report("y-commute", next(((l, m) for l in Y for m in Y
+                                  if l < m and not _commutes(Y[l], Y[m])), None))
+        report("ye-commute", next(((l, i) for l in Y
+                                   for i in cut_vs_cut(Y[l], lambda i: i)), None))
 
         # psi_k e(i) = e(i * s_k) psi_k
-        def swap_seq(i, k):
-            j = list(i)
-            j[k - 1], j[k] = j[k], j[k - 1]
-            return tuple(j)
+        report("psi-e-exchange", next((
+            (k, i) for k in PSI for i in cut_vs_cut(
+                PSI[k], lambda i: (*i[:k - 1], i[k], i[k - 1], *i[k + 1:]))), None))
 
-        bad = None
-        for k in PSI:
-            psi_e, e_psi = times_e(PSI[k]), e_times(PSI[k])
-            bad = next(((k, i) for i in seqs
-                        if psi_e.get(i, {}) != e_psi.get(swap_seq(i, k), {})),
-                       None)
-            if bad:
-                break
-        reports.append(_report(f"psi-e-exchange {tag}", n, p, bad is None, bad))
-
-        # psi_k y_(k+1) e(i) = (y_k psi_k + delta) e(i), and the mirror
-        bad = None
-        for k in PSI:
-            psi_y = prod(PSI[k], Y[k + 1]) - prod(Y[k], PSI[k])
-            y_psi = prod(Y[k + 1], PSI[k]) - prod(PSI[k], Y[k])
-            psi_y_e, y_psi_e = times_e(psi_y), times_e(y_psi)
-            for i in seqs:
-                delta = int(i[k - 1] == i[k])
-                if psi_y_e.get(i, {}) != c_e(i, delta, psi_y.den):
-                    bad = ("psi*y", k, i)
-                    break
-                if y_psi_e.get(i, {}) != c_e(i, delta, y_psi.den):
-                    bad = ("y*psi", k, i)
-                    break
-            if bad:
-                break
-        reports.append(_report(f"psi-y-exchange {tag}", n, p, bad is None, bad))
+        # psi_k y_(k+1) e(i) = (y_k psi_k + delta) e(i), and the mirror; per
+        # k the failures over both words by i, "psi*y" first at the same i
+        def psi_y_failures():
+            for k in PSI:
+                def delta(i):
+                    return int(i[k - 1] == i[k])
+                fails = [(i, "psi*y") for i in cut_vs_scalar(
+                    PSI[k] * Y[k + 1] - Y[k] * PSI[k], delta)]
+                fails += [(i, "y*psi") for i in cut_vs_scalar(
+                    Y[k + 1] * PSI[k] - PSI[k] * Y[k], delta)]
+                for i, word in sorted(fails):
+                    yield (word, k, i)
+        report("psi-y-exchange", next(psi_y_failures(), None))
 
         # distant commutations
-        bad = next((
+        report("psi-y-distant", next((
             (k, l) for k in PSI for l in Y if l not in (k, k + 1)
-            and prod(PSI[k], Y[l]) != prod(Y[l], PSI[k])), None)
-        reports.append(_report(f"psi-y-distant {tag}", n, p, bad is None, bad))
-        bad = next((
+            and not _commutes(PSI[k], Y[l])), None))
+        report("psi-psi-distant", next((
             (k, m) for k in PSI for m in PSI if m > k + 1
-            and prod(PSI[k], PSI[m]) != prod(PSI[m], PSI[k])), None)
-        reports.append(_report(f"psi-psi-distant {tag}", n, p, bad is None, bad))
+            and not _commutes(PSI[k], PSI[m])), None))
 
         # braid deviation
-        bad = None
-        for k in range(1, n - 1):
-            braid = prod(PSI[k], PSI[k + 1], PSI[k]) \
-                - prod(PSI[k + 1], PSI[k], PSI[k + 1])
-            cuts = times_e(braid)
-            for i in seqs:
-                ik, ik1, ik2 = i[k - 1], i[k], i[k + 1]
-                if ik2 == ik and ik1 == (ik + 1) % p:
-                    c = -1
-                elif ik2 == ik and ik == (ik1 + 1) % p:
-                    c = 1
-                else:
-                    c = 0
-                if cuts.get(i, {}) != c_e(i, c, braid.den):
-                    bad = (k, i)
-                    break
-            if bad:
-                break
-        reports.append(_report(f"braid-deviation {tag}", n, p, bad is None, bad))
+        def braid_deviations():
+            for k in range(1, n - 1):
+                braid = PSI[k] * PSI[k + 1] * PSI[k] \
+                    - PSI[k + 1] * PSI[k] * PSI[k + 1]
+                for i in cut_vs_scalar(braid, lambda i: braid_sign(i, k)):
+                    yield (k, i)
+        report("braid-deviation", next(braid_deviations(), None))
 
-        # psi^2, including the +p corrections at the quiver edge through 0
+        # psi^2: each branch compares one of three words with c e(i); the
+        # branches exercised are those of the nonzero blocks scanned before
+        # the first failure
         bad = None
         branches = set()
         for k in PSI:
-            # psi_k^2 e(i) = (y_k - y_(k+1) + c) e(i) is the same identity as
-            # (psi_k^2 - y_k + y_(k+1)) e(i) = c e(i), and likewise for the
-            # mirror, so every branch compares one of three words with c e(i)
-            sq = prod(PSI[k], PSI[k])
-            square, up, down = ((times_e(w), w.den) for w in
-                                (sq, sq - Y[k] + Y[k + 1], sq - Y[k + 1] + Y[k]))
-            for i in seqs:
-                ik, ik1 = i[k - 1], i[k]
-                if ik1 == (ik + 1) % p and ik1 != 0:
-                    br, word, c = "y_k - y_(k+1)", up, 0
-                elif ik1 == (ik + 1) % p:
-                    br, word, c = "y_k + p - y_(k+1)", up, p
-                elif ik == (ik1 + 1) % p and ik != 0:
-                    br, word, c = "y_(k+1) - y_k", down, 0
-                elif ik == (ik1 + 1) % p:
-                    br, word, c = "y_(k+1) + p - y_k", down, p
-                elif ik == ik1:
-                    br, word, c = "zero", square, 0
-                else:
-                    br, word, c = "identity", square, 1
-                cuts, den = word
-                if cuts.get(i, {}) != c_e(i, c, den):
-                    bad = (k, i, br)
-                    break
-                if not E[i].is_zero():
-                    branches.add(br)
-            if bad:
+            branch = {i: psi_square_branch(i, k) for i in seqs}
+            sq = PSI[k] * PSI[k]
+            fails = []
+            for word, X in (("square", sq), ("up", sq - Y[k] + Y[k + 1]),
+                            ("down", sq - Y[k + 1] + Y[k])):
+                fails += cut_vs_scalar(
+                    X, lambda i: branch[i][2] if branch[i][1] == word else None)
+            first = min(fails, default=None)
+            branches.update(branch[i][0] for i in seqs if not E[i].is_zero()
+                            and (first is None or i < first))
+            if first is not None:
+                bad = (k, first, branch[first][0])
                 break
-        entry = _report(f"psi-squared {tag}", n, p, bad is None, bad)
-        entry["branches_exercised"] = sorted(branches)
-        reports.append(entry)
+        report("psi-squared", bad, branches_exercised=sorted(branches))
 
     return reports
 
@@ -656,78 +633,51 @@ def diamond_formula_check(n: int, p: int) -> list:
     cls = tableaux.class_of_one_column(n, p)
     keep = set(cls)
     for side in ("left", "right"):
-        tag = f"[{side}]"
-        bad = None
-        for i in range(1, n2):
-            dia = diamond(i, n, p, side)
-            for s in cls:
-                got = dia.apply_index(s)
-                want = diamond_closed_form(s, i, p, side)
-                if got != want:
-                    bad = (i, s, sorted(got.items()), sorted(want.items()))
-                    break
-            if bad:
-                break
-        reports.append(_report(f"diamond-closed-form {tag}", n, p,
-                               bad is None, bad))
+        report = _reporter(reports, n, p, side)
+        dias = {i: diamond(i, n, p, side) for i in range(1, n2)}
+
+        def closed_form_misses():
+            for i, dia in dias.items():
+                for s in cls:
+                    got = dia.apply_index(s)
+                    want = diamond_closed_form(s, i, p, side)
+                    if got != want:
+                        yield (i, s, sorted(got.items()), sorted(want.items()))
+        report("diamond-closed-form", next(closed_form_misses(), None))
 
         # e-truncation: diamonds kill everything outside the class (every
         # key lies in it, as apply_index gives {} off the keys) and land in
         # it (every image index lies in it)
-        bad = None
-        for i in range(1, n2):
-            dia = diamond(i, n, p, side)
-            bad = next(((i, s, t) for s, vec in dia.action.items()
-                        for t in (s, *vec) if t not in keep), None)
-            if bad:
-                break
-        reports.append(_report(f"diamond-e-truncation {tag}", n, p,
-                               bad is None, bad))
+        report("diamond-e-truncation", next((
+            (i, s, t) for i, dia in dias.items() for s, vec in dia.action.items()
+            for t in (s, *vec) if t not in keep), None))
 
         # 2x2 action blocks satisfy M^2 = 2M
-        bad = None
-        for i in range(1, n2):
-            for s in cls:
-                t = tableaux.apply_block_swap(s, i, p)
-                if t is None or not tableaux.dominance_compare(s, t) == "less":
-                    continue
-                sd, su = s, t
-                dia = diamond(i, n, p, side)
-                vd = dia.apply_index(sd)
-                vu = dia.apply_index(su)
-                m = [[vd.get(sd, Fraction(0)), vu.get(sd, Fraction(0))],
-                     [vd.get(su, Fraction(0)), vu.get(su, Fraction(0))]]
-                sq = [[sum(m[a][c] * m[c][b] for c in (0, 1)) for b in (0, 1)]
-                      for a in (0, 1)]
-                if sq != [[2 * m[a][b] for b in (0, 1)] for a in (0, 1)]:
-                    bad = (i, sd, su)
-                    break
-            if bad:
-                break
-        reports.append(_report(f"diamond-2x2-idempotent {tag}", n, p,
-                               bad is None, bad))
+        def non_idempotent_blocks():
+            for i, dia in dias.items():
+                for sd in cls:
+                    su = tableaux.apply_block_swap(sd, i, p)
+                    if su is None or tableaux.dominance_compare(sd, su) != "less":
+                        continue
+                    vd, vu = dia.apply_index(sd), dia.apply_index(su)
+                    m = [[vd.get(sd, 0), vu.get(sd, 0)], [vd.get(su, 0), vu.get(su, 0)]]
+                    sq = [[sum(m[a][c] * m[c][b] for c in (0, 1)) for b in (0, 1)]
+                          for a in (0, 1)]
+                    if sq != [[2 * m[a][b] for b in (0, 1)] for a in (0, 1)]:
+                        yield (i, sd, su)
+        report("diamond-2x2-idempotent", next(non_idempotent_blocks(), None))
 
         # Temperley-Lieb relations among the diamonds
-        dias = {i: diamond(i, n, p, side) for i in range(1, n2)}
-        e = truncation_idempotent(n, p, side)
-        bad = None
-        for i, di in dias.items():
-            if op_product(di, di) != di.scale(2):
-                bad = ("quadratic", i)
-                break
-            for j, dj in dias.items():
-                if abs(i - j) == 1:
-                    if op_word_product([di, dj, di]) != di:
-                        bad = ("braid-like", i, j)
-                        break
-                elif i != j:
-                    if op_product(di, dj) != op_product(dj, di):
-                        bad = ("distant", i, j)
-                        break
-            if bad:
-                break
-        reports.append(_report(f"diamond-TL-relations {tag}", n, p,
-                               bad is None, bad))
+        def tl_failures():
+            for i, di in dias.items():
+                if di * di != di.scale(2):
+                    yield ("quadratic", i)
+                for j, dj in dias.items():
+                    if abs(i - j) == 1 and di * dj * di != di:
+                        yield ("braid-like", i, j)
+                    elif abs(i - j) > 1 and not _commutes(di, dj):
+                        yield ("distant", i, j)
+        report("diamond-TL-relations", next(tl_failures(), None))
     return reports
 
 

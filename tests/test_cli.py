@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 from tlexact import projectors
 from tlexact.cli import main
@@ -44,7 +46,30 @@ def test_pjw_both_large_runs_in_coordinates(capsys):
                          "--method", "both")
     assert code == 0
     assert "direct == recursive" in out
-    assert "f-basis coordinates" in err
+    assert err == "n=12 > 9: comparing in f-basis coordinates\n"
+
+
+def test_pjw_past_the_expansion_limit(capsys):
+    # --method recursive would print an expansion that is not kept past
+    # n = 9: a usage error that names --method both
+    code, out, err = run(capsys, "pjw", "--n", "12", "--p", "3",
+                         "--method", "recursive")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--method both" in err
+    # --method direct prints the index set summary
+    code, out, err = run(capsys, "pjw", "--n", "12", "--p", "3")
+    assert (code, out, err) == (
+        0, "sum of seminormal idempotents at indices 4, 6, 10, 12\n", "")
+    code, out, _ = run(capsys, "pjw", "--n", "10", "--p", "3", "--json")
+    assert code == 0 and json.loads(out) == {
+        "n": 10, "p": 3, "summands": [
+            {"index": 6, "tableau": [1] * 8 + [2, 2]},
+            {"index": 10, "tableau": [1] * 10}]}
+    # the expansion is decided by n alone: there is no flag to force it
+    code, out, _ = run(capsys, "pjw", "--n", "12", "--p", "3",
+                       "--method", "both", "--slow-expand")
+    assert (code, out) == (2, "")
 
 
 def test_idempotent(capsys):
@@ -68,6 +93,29 @@ def test_classes(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert {"residues", "members"} <= set(lines[0])
     assert sum(len(entry["members"]) for entry in lines) == 3
+
+
+def test_classes_text(capsys):
+    code, out, _ = run(capsys, "classes", "--n", "4", "--p", "3")
+    assert code == 0
+    assert out.splitlines() == ["residues 0,2,1,0: 1111  1122",
+                                "residues 0,2,1,1: 1112  1121",
+                                "residues 0,1,2,1: 1211",
+                                "residues 0,1,2,0: 1212"]
+
+
+def test_collapse_text(capsys):
+    # an image with a tag, an image without one, and the empty image
+    cases = {
+        (12, 3): ["111111111111 -> 111 tag 1", "111111111112 -> 111 tag 2",
+                  "111111112221 -> 112 tag 1", "111111112222 -> 112 tag 2",
+                  "111112221111 -> 121 tag 1", "111112221112 -> 121 tag 2"],
+        (5, 3): ["11111 -> 1"],
+        (3, 3): ["111 -> empty tag 1", "112 -> empty tag 2"],
+    }
+    for (n, p), lines in cases.items():
+        code, out, _ = run(capsys, "collapse", "--n", str(n), "--p", str(p))
+        assert code == 0 and out.splitlines() == lines, (n, p)
 
 
 def test_collapse(capsys):
@@ -94,6 +142,37 @@ def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify-all", "--n", "5", "--p", "3")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_verify_all_includes_the_diamond_suite(capsys):
+    code, out, _ = run(capsys, "verify-all", "--n", "8", "--p", "3")
+    assert code == 0
+    klr_checks = ("e-orthogonality", "e-completeness", "e-zero-when-i1-nonzero",
+                  "y1-vanishes", "y-commute", "ye-commute", "psi-e-exchange",
+                  "psi-y-exchange", "psi-y-distant", "psi-psi-distant",
+                  "braid-deviation", "psi-squared")
+    diamond_checks = ("diamond-closed-form", "diamond-e-truncation",
+                      "diamond-2x2-idempotent", "diamond-TL-relations")
+    names = [f"{c} [{side}]" for checks in (klr_checks, diamond_checks)
+             for side in ("left", "right") for c in checks]
+    names += ["class-idempotent-integrality", "pjw-direct-vs-recursive"]
+    assert len(names) == 34
+    assert out.splitlines() == [f"PASS {name} (n=8, p=3)" for name in names]
+
+
+def test_jw_past_eight_strands_prints_pairing_lists(capsys):
+    code, out, err = run(capsys, "jw", "--n", "9")
+    assert code == 0 and err == ""
+    terms = re.split(r" [+-] ", out.strip())
+    assert len(terms) == 4862  # every one of the Catalan(9) diagrams
+    assert all(re.fullmatch(r"(\d+(/\d+)? )?(\(\d+ \d+\)){9}", t)
+               for t in terms)
+    assert terms[0] == "160/7 " + "".join(f"({2 * j} {2 * j + 1})"
+                                          for j in range(9))
+    # the identity, with coefficient 1, sorts last
+    assert terms[-1] == "".join(f"({j} {17 - j})" for j in range(9))
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f22bcdebd57eda27883d069b165051f92efa65cd9f5e4ac10e961f6d2e52d9cd"
 
 
 def test_usage_errors(capsys):

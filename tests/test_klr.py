@@ -359,6 +359,34 @@ def test_klr_relations_detect_a_y_eigenvalue(monkeypatch, side):
     _assert_same_failures(n, p, side)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_first_failures_follow_the_reference_order(monkeypatch, side):
+    # y_3 perturbed at one tableau: at k = 2, psi-y-exchange fails on the
+    # "y*psi" word at a smaller i than on the "psi*y" word, and psi-squared
+    # fails at a block whose branch no block scanned before it exercised
+    n, p = 5, 3
+    s, l = (1, 1, 2, 2, 1), 3
+    real = K.act_y
+
+    def perturbed(ll, nn, pp, sd="left"):
+        op = real(ll, nn, pp, sd)
+        if (ll, sd) != (l, side):
+            return op
+        action = {t: op.apply_index(t) for t in op.action}
+        action.setdefault(s, {})[s] = action.get(s, {}).get(s, 0) + pp
+        return K.SeminormalOperator(nn, pp, sd, action)
+
+    monkeypatch.setattr(K, "act_y", perturbed)
+    reports = K.klr_relations_check(n, p)
+    assert reports == reference_relations_check(n, p)
+    got = {r["check"]: r for r in reports}
+    assert got[f"psi-y-exchange [{side}]"]["counterexample"] \
+        == ("y*psi", 2, (0, 1, 2, 0, 1))
+    square = got[f"psi-squared [{side}]"]
+    assert square["counterexample"] == (2, (0, 2, 1, 0, 1), "y_(k+1) - y_k")
+    assert square["branches_exercised"] == ["y_(k+1) + p - y_k", "y_k - y_(k+1)"]
+
+
 def test_e_relations_detect_planted_projection_entries(monkeypatch):
     # off-block entries planted in two block projections (both suites build
     # e(i) with op_projection): the per-index e-checks fail on both sides
@@ -492,6 +520,54 @@ def test_diamond_e_truncation_detects_off_class_entries(monkeypatch, plant):
     passed = {r["check"]: r["pass"] for r in K.diamond_formula_check(n, p)}
     assert not passed["diamond-e-truncation [left]"]
     assert not passed["diamond-e-truncation [right]"]
+
+
+def test_diamond_suite_with_four_blocks():
+    # n2 = 4 gives the first distant pair of diamonds, (1, 3), so the
+    # distant branch of diamond-TL-relations runs
+    for (n, p) in [(14, 3), (24, 5)]:
+        assert K.n2_of(n, p) == 4
+        reports = K.diamond_formula_check(n, p)
+        assert len(reports) == 8 and all(r["pass"] for r in reports), reports
+
+
+_C14 = ((1,) * 11 + (2,) * 3, (1,) * 8 + (2,) * 3 + (1,) * 3)
+
+
+@pytest.mark.parametrize("n, plant, block, relation", [
+    # diamond 1 tripled: no 2x2 block at index 1, d1^2 != 2 d1
+    (12, lambda real, i: real(i).scale(3) if i == 1 else real(i),
+     None, ("quadratic", 1)),
+    # diamond 2 tripled: its 2x2 blocks and d1 d2 d1 = d1 fail
+    (12, lambda real, i: real(i).scale(3) if i == 2 else real(i),
+     (2, (1,) * 8 + (2, 2, 2, 1), (1,) * 5 + (2, 2, 2) + (1,) * 4),
+     ("braid-like", 1, 2)),
+    # diamond 3 replaced by diamond 2: blocks 3, 4 are not idempotent and
+    # the distant pair (1, 3) stops commuting
+    (14, lambda real, i: real(2 if i == 3 else i), (3, *_C14),
+     ("distant", 1, 3)),
+])
+def test_diamond_suite_reports_planted_diamonds(monkeypatch, n, plant, block,
+                                                relation):
+    # the pinned counterexamples fix the order in which each family
+    # searches its indices
+    p = 3
+    real = K.diamond
+
+    def planted(i, nn, pp, side):
+        return plant(lambda j: real(j, nn, pp, side), i)
+
+    monkeypatch.setattr(K, "diamond", planted)
+    got = {r["check"]: r for r in K.diamond_formula_check(n, p)}
+    for side in ("left", "right"):
+        want = {"check": f"diamond-2x2-idempotent [{side}]", "n": n, "p": p,
+                "pass": block is None}
+        if block is not None:
+            want["counterexample"] = block
+        assert got[f"diamond-2x2-idempotent [{side}]"] == want
+        assert got[f"diamond-TL-relations [{side}]"] == {
+            "check": f"diamond-TL-relations [{side}]", "n": n, "p": p,
+            "pass": False, "counterexample": relation}
 
 
 def test_diamond_range_guard():
@@ -797,8 +873,6 @@ def test_f_norm():
             ftt = K.f_basis_element(t, t)
             assert ftt * ftt == ftt.scale(g)
             # diagram route agrees with the cell-module route
-            lam = T.shape_of(t)
-            mat = D.cell_matrix(ftt, lam)
             f = P.seminormal_vector(t)
             img = D.cell_action(f, ftt)
             assert img == f.scale(g)
