@@ -26,7 +26,8 @@ import json
 import os
 import sys
 
-from .coeffs import IntegralityViolationError, InvalidPrimeError, check_odd_prime
+from .coeffs import (IntegralityViolationError, InvalidPrimeError, check_odd_prime,
+                     format_rational)
 from . import tableaux
 from .diagrams import element_to_str
 from . import projectors
@@ -90,11 +91,11 @@ def _require(args, *names):
 
 
 def _in_ring(e, args):
-    """e over --ring; Zp and Fp need --p and a p-integral e."""
-    if args.ring == "Q":
-        return e
-    _require(args, "p")
-    return e.in_ring(args.ring, args.p)
+    """e over --ring; Zp and Fp need --p and a p-integral e.  A given --p
+    must be an odd prime over Q too."""
+    if args.ring != "Q" or args.p is not None:
+        _require(args, "p")
+    return e if args.ring == "Q" else e.in_ring(args.ring, args.p)
 
 
 def _cmd_jw(args):
@@ -215,7 +216,8 @@ def _emit_reports(reports, as_json):
     for r in reports:
         ok &= bool(r["pass"])
         if as_json:
-            print(json.dumps(r))
+            # a counterexample may hold Fractions: "a/b" as in the element schema
+            print(json.dumps(r, default=format_rational))
         else:
             mark = "PASS" if r["pass"] else "FAIL"
             extra = "" if r["pass"] else f"  {r.get('counterexample')}"

@@ -898,48 +898,3 @@ def cell_action(v: CellVector, a: TLElement) -> CellVector:
         raise ValueError("cell modules are implemented over Q")
     h = TLElement(a.n, {pad(half_diagram(t)): c for t, c in v.coords.items()})
     return CellVector(v.shape, cell_coords((a.star() * h).terms, v.shape))
-
-
-def cell_representation_rank(n: int) -> int:
-    """Rank mod q = 1000003 of the map sending a diagram to the tuple of its
-    cell-module matrices over all shapes.  Full rank (= Catalan(n)) certifies
-    that the direct sum of cell modules is a faithful representation."""
-    import numpy as np
-
-    q = 1_000_003
-    diagrams = all_matchings(n)
-    halves = [(s, u, pad(half_diagram(u))) for s in tableaux.two_column_partitions(n)
-              for u in tableaux.standard_tableaux(s)]
-    col_index = {key: j for j, key in enumerate(
-        (s, w, u) for s, w, _ in halves for s2, u, _ in halves if s2 == s)}
-    # C_u d is the one gluing d* over the padded half diagram of u: 2^loops
-    # C_w for the tableau w it reads as, or zero if it has a top arc
-    ctx = _context(n)
-    rows = np.zeros((len(diagrams), len(col_index)), dtype=np.int64)
-    for r, d in enumerate(diagrams):
-        top = star_pairing(d)
-        for s, u, h in halves:
-            glued, loops = ctx.splice(top, h)
-            fr = (glued[:2 * s[0]], n)
-            if not frame_has_top_arc(fr):
-                rows[r, col_index[(s, frame_to_tableau(fr), u)]] = pow(2, loops, q)
-    # Gaussian elimination mod q to row echelon form: rows below the pivot
-    # are zero left of the pivot column, so only those with a nonzero entry
-    # in it are updated, on the columns from the pivot onwards
-    rank = 0
-    m = rows % q
-    nrows, ncols = m.shape
-    for col in range(ncols):
-        live = rank + np.nonzero(m[rank:, col])[0]
-        if live.size == 0:
-            continue
-        pivot = int(live[0])
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), -1, q) % q
-        below = live[1:]
-        m[below, col:] = (m[below, col:]
-                          - np.outer(m[below, col], m[rank, col:])) % q
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

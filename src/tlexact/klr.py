@@ -1,8 +1,9 @@
 """The KLR seminormal action on the f-basis of the Temperley-Lieb algebra.
 
-Over Q the elements f_(s,t) = E'_s C_(s,t) E'_t, for pairs of two-column
-standard tableaux of a common shape, form a basis on which the integral KLR
-generators act by explicit combinatorial rules:
+Over Q the frame products f_(s,t) = F_s F_t* / 2^l2 = E'_s C_(s,t) E'_t
+of :mod:`tlexact.projectors`, for pairs of two-column standard tableaux of
+a common shape, form a basis on which the integral KLR generators act by
+explicit combinatorial rules (C_(s,t) glues the half diagrams of s and t):
 
 * e(i) projects onto the pairs whose row (resp. column) index has residue
   sequence i;
@@ -47,14 +48,7 @@ from math import gcd, lcm
 from .coeffs import IntegralityViolationError, InvariantError, check_odd_prime
 from . import tableaux
 from .tableaux import Tableau
-from .diagrams import (
-    TLElement,
-    diagram_words,
-    half_diagram,
-    jucys_murphy,
-    linear_combination,
-    sandwich,
-)
+from .diagrams import TLElement, diagram_words, jucys_murphy, linear_combination
 from . import projectors
 from .projectors import jones_wenzl, seminormal_idempotent
 
@@ -745,31 +739,19 @@ def iota_seminormal_idempotent(s: Tableau, n: int, p: int) -> SeminormalOperator
 
 @lru_cache(maxsize=None)
 def f_basis_element(s: Tableau, t: Tableau) -> TLElement:
-    """f_(s,t) = E'_s C_(s,t) E'_t as an element of TL_n over Q."""
-    if tableaux.shape_of(s) != tableaux.shape_of(t):
-        raise ValueError("tableaux of different shapes")
-    n = len(s)
-    d, loops = sandwich(half_diagram(s), half_diagram(t))
-    out = seminormal_idempotent(s) * TLElement(n, {d: 1}) * seminormal_idempotent(t)
-    if loops or out.is_zero():
-        raise InvariantError(f"C_(s,t) closed a loop or f_(s,t) = 0: s={s}, t={t}")
+    """f_(s,t) = F_s F_t* / 2^l2 as an element of TL_n over Q; f_(t,t)
+    scales the cached E'_t."""
+    out = (seminormal_idempotent(t).scale(f_norm(t)) if s == t
+           else projectors.frame_product(s, t))
+    if out.is_zero():
+        raise InvariantError(f"f_(s,t) = 0: s={s}, t={t}")
     return out
 
 
 @lru_cache(maxsize=None)
 def f_norm(t: Tableau) -> Fraction:
-    """The scalar with f_(t,t) = gamma'_t E'_t (equivalently f_(t,t)^2 =
-    gamma'_t f_(t,t)); computed from exact proportionality of the two
-    expansions and checked nonzero."""
-    ftt = f_basis_element(t, t)
-    et = seminormal_idempotent(t)
-    a, b = ftt.num, et.num
-    d0 = next(iter(b), None)
-    # equal supports and a[d] : b[d] the same for every d (no value is 0)
-    if d0 is None or a.keys() != b.keys() \
-            or any(a[d] * b[d0] != a[d0] * c for d, c in b.items()):
-        raise InvariantError(f"f_(t,t) is not a nonzero multiple of E'_t, t={t}")
-    return Fraction(a[d0] * et.den, b[d0] * ftt.den)
+    """gamma'_t with f_(t,t) = gamma'_t E'_t: gamma_t, by the frame products."""
+    return projectors.gamma(t)
 
 
 def operator_to_element(X: SeminormalOperator) -> TLElement:

@@ -15,10 +15,12 @@ For a two-column standard tableau t with column runs D_1 M_1 ... D_k M_k
 the seminormal vector f_t is built by stacking JW boxes: at stage i, add
 d_i fresh strands, put JW_(n_i) on top, and bend the m_i rightmost strands
 down.  Truncating to frames without top arcs gives f_t inside the cell
-module of shape(t); keeping all frames and gluing a mirrored copy on top
-yields the idempotent
+module of shape(t); keeping all frames gives the frame expansion F_t.  For
+s, t of one shape the frame product F_s F_t* / 2^l2 (the l2 padding cups
+close into loops worth 2) is the f-basis element f_(s,t) of
+:mod:`tlexact.klr`, and at s = t it is gamma_t times the idempotent
 
-    E'_t = (1/gamma_t) f_t* f_t,   gamma_t = prod_i (n_i+1)/(n_i-m_i+1),
+    E'_t = F_t F_t* / (gamma_t 2^l2),   gamma_t = prod_i (n_i+1)/(n_i-m_i+1),
 
 which projects onto the simultaneous Jucys-Murphy eigenvector with
 eigenvalues the contents of t.  The independent oracle for E'_t is the
@@ -229,26 +231,25 @@ def seminormal_vector(t: Tableau) -> CellVector:
     return CellVector(shape, cell_coords(_frame_expansion(t).terms, shape))
 
 
-def _sandwich(t: Tableau) -> TLElement:
-    """E'_t = F F* / (gamma_t 2^l2) for the frame expansion F: the l2
-    padding cups of F meet those of F* in l2 loops worth 2 each."""
-    f = _frame_expansion(t)
-    l2 = tableaux.shape_of(t)[1]
-    return (f * f.star()).scale(1 / (gamma(t) * 2 ** l2))
+def frame_product(s: Tableau, t: Tableau, c=1) -> TLElement:
+    """c F_s F_t* / 2^l2 for two tableaux of one shape: f_(s,t) at c = 1,
+    E'_t at s = t and c = 1/gamma_t."""
+    if tableaux.shape_of(s) != (shape := tableaux.shape_of(t)):
+        raise ValueError("tableaux of different shapes")
+    fs = _frame_expansion(s)
+    ft = fs if s == t else _frame_expansion(t)
+    return (fs * ft.star()).scale(Fraction(c, 2 ** shape[1]))
 
 
 @lru_cache(maxsize=None)
 def _seminormal_idempotent_cached(t: Tableau) -> TLElement:
-    bd = tableaux.block_decomposition(t)
-    if bd.k == 1 and bd.runs[0][1] == 0:
-        # one-column tableau: f_t is a bare JW box and JW absorption gives
-        # E'_t = JW_n * JW_n = JW_n  (gamma = 1)
+    if 2 not in t:  # one column: F_t is a bare JW box, and E'_t = JW_n JW_n = JW_n
         return jones_wenzl(len(t))
-    return _sandwich(t)
+    return frame_product(t, t, 1 / gamma(t))
 
 
 def seminormal_idempotent(t: Tableau) -> TLElement:
-    """E'_t = (1/gamma_t) f_t* f_t as an element of TL_n over Q."""
+    """E'_t = F_t F_t* / (gamma_t 2^l2) as an element of TL_n over Q."""
     return _seminormal_idempotent_cached(tuple(t))
 
 

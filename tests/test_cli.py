@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 
 from tlexact import projectors
 from tlexact.cli import main
@@ -200,10 +204,44 @@ def test_usage_errors(capsys):
                  ("verify-all", "--n", "-1", "--p", "3"),
                  ("pjw", "--n", "0", "--p", "3"),
                  ("pjw", "--n", "2", "--p", "3", "--method", "both"),
-                 ("pjw", "--n", "3", "--p", "5", "--method", "recursive")):
+                 ("pjw", "--n", "3", "--p", "5", "--method", "recursive"),
+                 # a given --p is checked over Q too
+                 ("idempotent", "--tableau", "1,2", "--p", "4"),
+                 ("idempotent", "--tableau", "1,2", "--p", "9", "--ring", "Q")):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+
+
+# the CLI with the first diamond tripled, so that the diamond suite fails
+# with Fractions in its counterexamples
+_PLANTED = """
+import sys
+from tlexact import cli, klr
+diamond = klr.diamond
+klr.diamond = lambda i, n, p, side: diamond(i, n, p, side).scale(3 if i == 1 else 1)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_failed_reports_in_json():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    for command in ("diamond-check", "verify-all"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLANTED, command, "--n", "8", "--p", "3", "--json"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+        reports = [json.loads(line) for line in proc.stdout.splitlines()]
+        closed = [r for r in reports if r["check"].startswith("diamond-closed-form")]
+        assert len(closed) == 2 and not any(r["pass"] for r in closed)
+        # the got and want images of the first failing index, with their
+        # coefficients as "a/b" strings
+        i, _, got, want = closed[0]["counterexample"]
+        assert i == 1 and all(isinstance(c, str) for _, c in got + want)
+        assert [[t, Fraction(c)] for t, c in got] \
+            == [[t, 3 * Fraction(c)] for t, c in want]
 
 
 def test_klr_check_at_the_cap(capsys):

@@ -878,6 +878,31 @@ def test_f_norm():
             assert img == f.scale(g)
 
 
+def test_f_basis_matches_the_sandwich_definition():
+    # the f-basis was defined as f_(s,t) = E'_s C_(s,t) E'_t, with C_(s,t)
+    # the reflected half diagram of s glued over that of t; its norm was
+    # read off as the ratio of f_(t,t) to E'_t
+    pairs = 0
+    for n in range(1, 8):
+        for lam in T.two_column_partitions(n):
+            tabs = T.standard_tableaux(lam)
+            for s in tabs:
+                for t in tabs:
+                    d, loops = D.sandwich(D.half_diagram(s), D.half_diagram(t))
+                    assert loops == 0, (s, t)
+                    want = (P.seminormal_idempotent(s) * TLElement(n, {d: 1})
+                            * P.seminormal_idempotent(t))
+                    assert K.f_basis_element(s, t) == want, (s, t)
+                    pairs += 1
+                    if s == t:
+                        et = P.seminormal_idempotent(t)
+                        d0 = next(iter(et.terms))
+                        ratio = want.coeff(d0) / et.coeff(d0)
+                        assert want == et.scale(ratio), t
+                        assert K.f_norm(t) == ratio, t
+    assert pairs == sum(D.catalan(n) for n in range(1, 8)) == 625
+
+
 def test_recursive_equals_direct_operators_small():
     for (n, p) in [(3, 3), (5, 3), (5, 5)]:
         assert K.p_jones_wenzl_recursive_operator(n, p) \
@@ -887,6 +912,10 @@ def test_recursive_equals_direct_operators_small():
 def test_recursive_equals_direct_elements_small():
     for (n, p) in [(3, 3), (5, 3), (5, 5)]:
         assert K.p_jones_wenzl_recursive(n, p) == P.p_jones_wenzl_direct(n, p)
+
+
+def test_recursive_equals_direct_elements_past_the_expansion_limit():
+    assert K.p_jones_wenzl_recursive(10, 3) == P.p_jones_wenzl_direct(10, 3)
 
 
 def test_cell_route_cross_validation():

@@ -62,6 +62,16 @@ def test_cli_import_skips_dataclasses():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_import_without_numpy():
+    # numpy is a test dependency only: the package and the CLI import
+    # without it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None; import tlexact, tlexact.cli"],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_assert_in_the_package():
     # python -O strips assert statements, so no guard may rely on one
     files = sorted(glob.glob(os.path.join(ROOT, "src", "tlexact", "*.py")))

@@ -121,13 +121,15 @@ def test_seminormal_idempotent_example():
     expected = (u1.scale(Fraction(1, 6)) + u2.scale(Fraction(2, 3))
                 - (u1 * u2 + u2 * u1).scale(Fraction(1, 3)))
     assert P.seminormal_idempotent((1, 1, 2)) == expected
-    assert P._sandwich((1, 1, 2)) == expected
+    t = (1, 1, 2)
+    assert P.frame_product(t, t, 1 / P.gamma(t)) == expected
 
 
 def test_seminormal_idempotent_one_column_general_path():
-    # the absorption shortcut agrees with the raw sandwich construction
+    # the absorption shortcut agrees with the general frame product
     for n in range(1, 6):
-        assert P._sandwich(T.one_column_tableau(n)) == P.jones_wenzl(n)
+        t = T.one_column_tableau(n)
+        assert P.frame_product(t, t) == P.jones_wenzl(n)
 
 
 def test_orthogonal_idempotent_family_small():
