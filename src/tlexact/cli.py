@@ -246,6 +246,10 @@ def _cmd_klr_check(args):
 def _cmd_verify_all(args):
     _require(args, "n", "p")
     n, p = args.n, args.p
+    if _KLR_LIMIT < n < p:
+        raise UsageError(f"no check fits n={n}, p={p}: KLR relations need n <= "
+                         f"{_KLR_LIMIT}, class integrality n <= {_EXPAND_LIMIT}, "
+                         "diamonds n >= 3p-1, recursive = direct n >= p")
     reports = []
     if n <= _KLR_LIMIT:
         reports.extend(klr.klr_relations_check(n, p))

@@ -5,12 +5,13 @@ rationals Q, the localization Z_(p) of Z at an odd prime p (rationals a/b
 with p not dividing b), and the prime field F_p.  Scalars are Fractions;
 Temperley-Lieb elements hold integer numerators over one denominator (see
 :mod:`tlexact.diagrams`).  This module provides the p-integrality
-predicate, reduction from Z_(p) to F_p, and string (de)serialization of
-rationals as used in all JSON output.
+predicate, the one integrality check (``inverse_mod_p``), reduction from
+Z_(p) to F_p, and the (de)serialization of rationals in JSON output.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -69,14 +70,21 @@ def is_p_integral(q, p: int) -> bool:
     return Fraction(q).denominator % p != 0
 
 
+def inverse_mod_p(den: int, p: int, coeffs) -> int:
+    """den^-1 mod p, den the lowest common denominator of coeffs; else
+    IntegralityViolationError names the first coefficient not integral at p."""
+    if den % p == 0:
+        raise IntegralityViolationError(next(
+            q for q in map(Fraction, coeffs) if q.denominator % p == 0), p)
+    return pow(den, -1, p)
+
+
 def reduce_mod_p(q, p: int) -> int:
     """Reduce a p-integral rational a/b to the int (a * b^-1) mod p, in
     0..p-1."""
     check_odd_prime(p)
     q = Fraction(q)
-    if q.denominator % p == 0:
-        raise IntegralityViolationError(q, p)
-    return q.numerator * pow(q.denominator, -1, p) % p
+    return q.numerator * inverse_mod_p(q.denominator, p, (q,)) % p
 
 
 def format_rational(q: Fraction) -> str:
@@ -87,5 +95,11 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    """The "a" or "a/b" (b > 0) that format_rational writes, else ValueError."""
+    if not (m := _RATIONAL.fullmatch(s)):
+        raise ValueError(f"not a rational a or a/b: {s!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))

@@ -54,8 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-from .coeffs import (IntegralityViolationError, InvariantError, check_odd_prime,
-                     format_rational, parse_rational)
+from .coeffs import (InvariantError, check_odd_prime, format_rational, inverse_mod_p,
+                     parse_rational)
 from . import tableaux
 from .tableaux import Tableau
 
@@ -443,16 +443,15 @@ class TLElement:
 
     def _scalar(self, c):
         """c in the element's ring as (numerator, denominator) in lowest
-        terms; over F_p the denominator is 1.  Raises
-        IntegralityViolationError, as in_ring does, if p divides q."""
+        terms, the denominator 1 over F_p; raises IntegralityViolationError,
+        as in_ring does, when p divides the denominator."""
         if not isinstance(c, int):
             c = Fraction(c)
-        c, q = c.numerator, c.denominator
-        if self.p is not None and q % self.p == 0:
-            raise IntegralityViolationError(Fraction(c, q), self.p)
-        if self.ring == "Fp":
-            return c * pow(q, -1, self.p) % self.p, 1
-        return c, q
+        if self.p is not None:
+            inv = inverse_mod_p(c.denominator, self.p, (c,))
+            if self.ring == "Fp":
+                return c.numerator * inv % self.p, 1
+        return c.numerator, c.denominator
 
     def _check_compatible(self, other):
         if not isinstance(other, TLElement):
@@ -576,12 +575,8 @@ class TLElement:
         if self.ring == "Fp" or self.p not in (None, p):
             raise ValueError(f"cannot convert an element over {self.ring} at "
                              f"p={self.p} to a ring at p={p}")
-        if self.den % p == 0:
-            # in lowest terms, p divides the reduced denominator of some term
-            c = next(c for c in self.terms.values() if c.denominator % p == 0)
-            raise IntegralityViolationError(c, p)
+        inv = inverse_mod_p(self.den, p, self.terms.values())
         if ring == "Fp":
-            inv = pow(self.den, -1, p)
             return TLElement(self.n, None, "Fp", p)._raw(
                 {d: c * inv for d, c in self.num.items()})._reduce()
         return self if ring == self.ring else TLElement(

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .coeffs import IntegralityViolationError, InvariantError, check_odd_prime
+from .coeffs import InvariantError, check_odd_prime, inverse_mod_p
 from . import tableaux
 from .tableaux import Tableau
 from .diagrams import TLElement, diagram_words, jucys_murphy, linear_combination
@@ -174,12 +174,9 @@ class SeminormalOperator:
     def reduced_action_mod_p(self) -> dict:
         """Matrix entries reduced mod p; raises IntegralityViolationError
         if an entry has p in its denominator."""
-        p, den = check_odd_prime(self.p), self.den
-        if den % p == 0:
-            c = next(q for s in self.action for q in self.apply_index(s).values()
-                     if q.denominator % p == 0)
-            raise IntegralityViolationError(c, p)
-        inv = pow(den, -1, p)
+        p = check_odd_prime(self.p)
+        inv = inverse_mod_p(self.den, p, (q for s in self.action
+                                          for q in self.apply_index(s).values()))
         out = {}
         for s, vec in self.action.items():
             red = {t: v for t, c in vec.items() if (v := c * inv % p)}
@@ -552,10 +549,11 @@ def truncation_idempotent(n: int, p: int, side: str) -> SeminormalOperator:
 
 
 def n2_of(n: int, p: int) -> int:
-    ch = tableaux.radix_chain(n, p)
-    if not ch.levels:
-        raise ValueError(f"need n >= p, got n={n}, p={p}")
-    return ch.levels[0][2]
+    """The strand count (n - (p-1)) // p of the algebra included into TL_n:
+    the next size down the radix chain, for n >= p - 1."""
+    if n < check_odd_prime(p) - 1:
+        raise ValueError(f"need n >= p - 1, got n={n}, p={p}")
+    return (n - p + 1) // p
 
 
 @lru_cache(maxsize=None)
@@ -679,18 +677,12 @@ def diamond_formula_check(n: int, p: int) -> list:
 # inclusions of smaller Temperley-Lieb algebras
 
 
-def iota_klr(x: TLElement, n: int, p: int, *,
-             n2: int | None = None) -> SeminormalOperator:
-    """The inclusion of TL_(n2) into TL_n as a left operator on the
-    f-basis: u_i goes to the i-th diamond and the unit to the class
-    idempotent e.  The element x, over Q or Z_(p), is factored into
-    generator words diagram by diagram.
-
-    n2 is derived from the radix chain of (n, p) when not given; chain
-    levels with n < p (possible at the bottom, where n2 is then 0 or 1)
-    must pass it explicitly."""
-    if n2 is None:
-        n2 = n2_of(n, p)
+def iota_klr(x: TLElement, n: int, p: int) -> SeminormalOperator:
+    """The inclusion of TL_(n2) into TL_n, n2 = n2_of(n, p), as a left
+    operator on the f-basis: u_i goes to the i-th diamond and the unit to
+    the class idempotent e.  The element x, over Q or Z_(p), is factored
+    into generator words diagram by diagram."""
+    n2 = n2_of(n, p)
     if x.n != n2:
         raise ValueError(f"element lives in TL_{x.n}, expected TL_{n2}")
     if x.ring == "Fp":
@@ -824,9 +816,9 @@ def p_jones_wenzl_recursive_operator(n: int, p: int) -> SeminormalOperator:
         raise ValueError("the recursive construction needs n >= p")
     sizes = tableaux.radix_chain(n, p).sizes
     x = jones_wenzl(sizes[-1])  # bottom: E_(one-column) in TL_(a_k - 1)
-    for lvl in range(len(sizes) - 2, 0, -1):
-        x = operator_to_element(iota_klr(x, sizes[lvl], p, n2=sizes[lvl + 1]))
-    return iota_klr(x, n, p, n2=sizes[1])
+    for m in sizes[-2:0:-1]:
+        x = operator_to_element(iota_klr(x, m, p))
+    return iota_klr(x, n, p)
 
 
 def p_jones_wenzl_recursive(n: int, p: int) -> TLElement:

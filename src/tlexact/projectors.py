@@ -156,33 +156,24 @@ def jones_wenzl(n: int) -> TLElement:
 
 def close_rightmost(e: TLElement) -> TLElement:
     """Join the rightmost northern point to the rightmost southern point
-    (a partial trace down to n-1 strands); each directly closed strand
-    becomes a loop worth a factor 2."""
+    (a partial trace down to n-1 strands), over e's ring; each directly
+    closed strand becomes a loop worth a factor 2."""
     n = e.n
     if n < 1:
         raise ValueError("nothing to close")
-    out = TLElement.zero(n - 1)
-    num = out.num
+    # labels n-1 and n go; the labels above them move down by 2
+    shift = bytes([*range(n - 1), 0, 0, *range(n - 1, 2 * n - 2)]).ljust(256, b"\0")
+    num = {}
     for d, c in e.num.items():
-        if d[n - 1] == n:  # strand joins the two closed points: a loop
-            pairs = {x: y for x, y in enumerate(d) if x < y and x != n - 1}
-            coeff = 2 * c
-        else:
-            pairs = {x: y for x, y in enumerate(d)
-                     if x < y and x not in (n - 1, n) and y not in (n - 1, n)}
-            a, b = sorted((d[n - 1], d[n]))
-            pairs[a] = b
-            coeff = c
-        new = bytearray(2 * (n - 1))
-        for x, y in pairs.items():
-            a = x if x < n - 1 else x - 2
-            b = y if y < n - 1 else y - 2
-            new[a] = b
-            new[b] = a
-        new = bytes(new)
-        num[new] = num.get(new, 0) + coeff
-    out.den = e.den
-    return out._reduce()
+        d = bytearray(d)
+        a, b = d[n - 1], d[n]
+        if a == n:  # strand joins the two closed points: a loop
+            c *= 2
+        else:  # join their partners
+            d[a], d[b] = b, a
+        new = bytes(d[:n - 1] + d[n + 1:]).translate(shift)
+        num[new] = num.get(new, 0) + c
+    return e._raw(num, e.den, n - 1)._reduce()
 
 
 def partial_close(n: int, k: int) -> Fraction:
@@ -243,6 +234,8 @@ def frame_product(s: Tableau, t: Tableau, c=1) -> TLElement:
 
 @lru_cache(maxsize=None)
 def _seminormal_idempotent_cached(t: Tableau) -> TLElement:
+    if not tableaux.is_standard(t):
+        raise ValueError(f"{t!r} is not a standard two-column tableau")
     if 2 not in t:  # one column: F_t is a bare JW box, and E'_t = JW_n JW_n = JW_n
         return jones_wenzl(len(t))
     return frame_product(t, t, 1 / gamma(t))

@@ -164,6 +164,13 @@ def test_verify_all_includes_the_diamond_suite(capsys):
     assert out.splitlines() == [f"PASS {name} (n=8, p=3)" for name in names]
 
 
+def test_verify_all_that_fits_no_check_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify-all", "--n", "12", "--p", "13")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: no check fits n=12, p=13: ")
+    assert err.count("\n") == 1
+
+
 def test_jw_past_eight_strands_prints_pairing_lists(capsys):
     code, out, err = run(capsys, "jw", "--n", "9")
     assert code == 0 and err == ""
@@ -316,3 +323,35 @@ def test_cache_file_is_validated(tmp_path, capsys):
         assert (code, out) == (2, ""), text
         assert err.startswith("cache error: ") and err.count("\n") == 1
         assert path.read_text() == text
+
+
+def test_cache_coefficient_with_a_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "jw-cache.json"
+    doc = projectors.JWCache().get(2).to_json()
+    doc["terms"][0]["coeff"] = "1/0"
+    path.write_text(json.dumps([{"n": 2, "element": doc}]))
+    code, out, err = run(capsys, "jw", "--n", "2", "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+    assert "'1/0'" in err
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      os.pardir, "bench", "golden")
+
+
+def test_golden_cli_transcript(tmp_path, capsysbinary, monkeypatch):
+    # the recorded CLI session, in order and sharing one cache file:
+    # stdout bytes and exit codes as recorded, and no traceback
+    monkeypatch.delenv("TL_CACHE", raising=False)
+    cache = str(tmp_path / "jw-cache.json")
+    with open(os.path.join(GOLDEN, "cli.json")) as fh:
+        entries = json.load(fh)
+    for entry in entries:
+        argv = [a.replace("{cache}", cache) for a in entry["argv"]]
+        code = main(argv)
+        out = capsysbinary.readouterr()
+        with open(os.path.join(GOLDEN, entry["stdout"]), "rb") as fh:
+            assert out.out == fh.read(), argv
+        assert code == entry["exit"], argv
+        assert b"Traceback" not in out.err, argv

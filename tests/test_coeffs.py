@@ -77,3 +77,10 @@ def test_rational_serialization():
     assert format_rational(Fraction(7)) == "7"
     assert parse_rational("-1/2") == Fraction(-1, 2)
     assert parse_rational("7") == Fraction(7)
+    assert parse_rational("0") == 0
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", " 1/2", "1/0", "nan", "1_0"])
+def test_parse_rational_rejects_what_format_rational_never_writes(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)

@@ -952,3 +952,44 @@ def test_diamond_element_cross_stack():
     assert K.operator_from_element_via_cells(delem, p, "right") \
         == K.diamond(1, n, p, "right")
 
+
+
+def test_n2_of_from_the_bottom_of_the_chain():
+    for p in (3, 5, 7):
+        assert K.n2_of(p - 1, p) == 0
+        assert K.n2_of(2 * p - 1, p) == 1
+        with pytest.raises(ValueError):
+            K.n2_of(p - 2, p)
+        # no diamonds below two blocks: the range guard rejects every index
+        with pytest.raises(IndexError):
+            K.diamond(1, p - 1, p, "left")
+        for n in range(p, 60):
+            assert K.n2_of(n, p) == T.radix_chain(n, p).sizes[1], (n, p)
+
+
+def test_iota_klr_sends_the_unit_of_tl_0_to_e():
+    # the bottom of the chain at (8,3): TL_0 included into TL_2
+    assert K.iota_klr(TLElement.one(0), 2, 3) == K.truncation_idempotent(2, 3, "left")
+    with pytest.raises(ValueError, match="expected TL_0"):
+        K.iota_klr(TLElement.one(1), 2, 3)
+
+
+def test_one_integrality_message_for_a_scalar_an_element_and_an_operator():
+    msg = "^coefficient 1/6 is not integral at 3$"
+    with pytest.raises(IntegralityViolationError, match=msg):
+        reduce_mod_p(Fraction(1, 6), 3)
+    with pytest.raises(IntegralityViolationError, match=msg):
+        TLElement.one(2, "Zp", 3).scale(Fraction(1, 6))
+    # element and operator name their first offending coefficient in
+    # term order
+    x = TLElement(3, {D.identity_pairing(3): Fraction(1, 2),
+                      D.generator_pairing(1, 3): Fraction(1, 6),
+                      D.generator_pairing(2, 3): Fraction(2, 3)})
+    for ring in ("Zp", "Fp"):
+        with pytest.raises(IntegralityViolationError, match=msg):
+            x.in_ring(ring, 3)
+    s, t, u = T.all_standard_tableaux(3)
+    op = K.SeminormalOperator(3, 3, "left", {s: {s: Fraction(1, 2), t: Fraction(1, 6)},
+                                             u: {u: Fraction(2, 3)}})
+    with pytest.raises(IntegralityViolationError, match=msg):
+        op.reduced_action_mod_p()

@@ -125,6 +125,14 @@ def test_seminormal_idempotent_example():
     assert P.frame_product(t, t, 1 / P.gamma(t)) == expected
 
 
+def test_seminormal_idempotent_rejects_non_tableaux():
+    # the one-column shortcut must not answer for sequences that are no
+    # tableau at all
+    for t in ((1, 3), (0,), (1, 1, "x"), (2, 1)):
+        with pytest.raises(ValueError, match="not a standard"):
+            P.seminormal_idempotent(t)
+
+
 def test_seminormal_idempotent_one_column_general_path():
     # the absorption shortcut agrees with the general frame product
     for n in range(1, 6):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from tlexact import diagrams as D
 from tlexact import klr as K
+from tlexact import projectors as P
 from tlexact import tableaux as T
 from tlexact.diagrams import TLElement
 
@@ -90,6 +91,23 @@ def test_associativity(abc):
 def test_star_is_an_anti_automorphism(ab):
     a, b = ab
     assert (a * b).star() == b.star() * a.star()
+
+
+@st.composite
+def closable_elements(draw):
+    ring, p = draw(st.sampled_from((("Q", None), ("Fp", 5), ("Zp", 3))))
+    return draw(elements(draw(st.integers(1, 6)), ring, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(closable_elements())
+def test_close_rightmost_is_the_partial_trace(e):
+    # in TL_(n+1): u_n (e x 1) u_n = (tr(e) x 1 x 1) u_n, tr closing the
+    # rightmost strand of e; the right side runs through the product kernel
+    closed = P.close_rightmost(e)
+    assert (closed.n, closed.ring, closed.p) == (e.n - 1, e.ring, e.p)
+    u = TLElement.generator(e.n, e.n + 1, e.ring, e.p)
+    assert u * e.embed(0, 1) * u == closed.embed(0, 2) * u
 
 
 def assert_canonical(e: TLElement):
