@@ -98,6 +98,13 @@ def format_rational(q: Fraction) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
+def parse_integer(s: str) -> int:
+    """The "a" that str writes for an int, else ValueError."""
+    if not (m := _RATIONAL.fullmatch(s)) or m[2]:
+        raise ValueError(f"not an integer a: {s!r}")
+    return int(s)
+
+
 def parse_rational(s: str) -> Fraction:
     """The "a" or "a/b" (b > 0) that format_rational writes, else ValueError."""
     if not (m := _RATIONAL.fullmatch(s)):

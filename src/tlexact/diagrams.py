@@ -25,9 +25,10 @@ loops and which through strands of each factor are capped together.  So
 
 and the product groups a by south half and b by north half, sums b's
 capped south halves per top-cap pattern, and emits one outer product per
-pattern.  Its inner work is at most 2|a||b| and far less on dense
-elements (Jones-Wenzl squares, idempotent sandwiches), where many pairs
-share their halves.
+pattern over the partial sums that did not cancel (JW_n against a cap
+cancels whole rows).  Its inner work is at most 2|a||b| and far less on
+dense elements (Jones-Wenzl squares, idempotent sandwiches), where many
+pairs share their halves.
 
 Elements carry one of three coefficient rings: "Q", "Zp" (checked
 p-integral) or "Fp" (integers mod p).  An element holds integer numerators
@@ -55,7 +56,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .coeffs import (InvariantError, check_odd_prime, format_rational, inverse_mod_p,
-                     parse_rational)
+                     parse_integer, parse_rational)
 from . import tableaux
 from .tableaux import Tableau
 
@@ -89,16 +90,15 @@ def generator_pairing(i: int, n: int) -> bytes:
 
 
 def is_noncrossing(pairing) -> bool:
+    """Whether pairing is a non-crossing perfect matching of its points:
+    each right end y -> x closes the innermost open left end x, which
+    points back to y."""
     stack = []
     for x, y in enumerate(pairing):
-        if y >= len(pairing) or pairing[y] != x or y == x:
-            return False
         if y > x:
             stack.append(x)
-        else:
-            if not stack or stack[-1] != y:
-                return False
-            stack.pop()
+        elif not stack or stack.pop() != y or pairing[y] != x:
+            return False
     return not stack
 
 
@@ -231,30 +231,29 @@ class _MulContext:
     returns the loops closed there, the caps joining through strands of d1
     (as pairs of their left-to-right indices) and those joining through
     strands of d2.  The product is then the pair (cap(north1, top caps),
-    cap(south2, bottom caps)).  All four tables are memos, indexed
-    ``halves[d]``, ``glue[south][north]``, ``cap[caps][half]`` and
-    ``join[north][south]``.
+    cap(south2, bottom caps)).  All five tables are memos, indexed
+    ``halves[d]`` (two bytes.translate calls), ``slots[half]`` (its
+    through-strand positions, and the slot index of each position),
+    ``glue[south][north]``, ``cap[caps][half]`` and ``join[north][south]``.
     """
 
-    __slots__ = ("n", "halves", "glue", "cap", "join")
+    __slots__ = ("n", "halves", "slots", "glue", "cap", "join")
 
     def __init__(self, n):
-        self.n = n
-        self.halves = _Memo(self._halves)
+        self.n, last = n, 2 * n - 1
+        north = bytes(y if y < n else _FREE for y in range(256))
+        south = bytes(last - y if n <= y <= last else _FREE for y in range(256))
+        self.halves = _Memo(lambda d: (d[:n].translate(north), d[:n - 1:-1].translate(south)))
+        self.slots = _Memo(lambda half: (bytes(j for j, y in enumerate(half) if y == _FREE),
+                                         bytes(half.count(_FREE, 0, j) for j in range(n))))
         self.glue = _Memo(lambda s: _Memo(lambda north: self._glue(s, north)))
-        self.cap = _Memo(lambda caps: _Memo(lambda half: _cap(half, caps)))
+        self.cap = _Memo(lambda caps: _Memo(lambda half: self._cap(half, caps)))
         self.join = _Memo(lambda north: _Memo(lambda s: self._join(north, s)))
-
-    def _halves(self, d: bytes):
-        n, last = self.n, 2 * self.n - 1
-        north = bytes(y if y < n else _FREE for y in d[:n])
-        south = bytes(last - y if y >= n else _FREE for y in d[:n - 1:-1])
-        return north, south
 
     def _join(self, north: bytes, south: bytes) -> bytes:
         last = 2 * self.n - 1
         out = bytearray(north) + bytes(len(south))
-        tops = iter([x for x, y in enumerate(north) if y == _FREE])
+        tops = iter(self.slots[north][0])
         for j, y in enumerate(south):
             if y == _FREE:
                 x = next(tops)
@@ -263,28 +262,41 @@ class _MulContext:
                 out[last - j] = last - y
         return bytes(out)
 
+    def _cap(self, half: bytes, caps: bytes) -> bytes:
+        """Join the through strands of a half with the given slot indices."""
+        if not caps:
+            return half
+        free = self.slots[half][0]
+        out = bytearray(half)
+        for t in range(0, len(caps), 2):
+            x, y = free[caps[t]], free[caps[t + 1]]
+            out[x], out[y] = y, x
+        return bytes(out)
+
     def _glue(self, s: bytes, north: bytes):
         """(loops, top caps, bottom caps) of the n middle points, where s
         is the top factor's south half and north the bottom factor's north
         half; caps are flat bytes of slot index pairs."""
         seen = bytearray(len(s))
         caps = []
-        for side, cups in ((s, (north, s)), (north, (s, north))):
-            free = [j for j, y in enumerate(side) if y == _FREE]
-            slot = {j: i for i, j in enumerate(free)}
+        for side, other in ((s, north), (north, s)):
+            free, slot = self.slots[side]
             found = bytearray()
             for j0 in free:
+                if seen[j0]:
+                    continue  # walked already, from the strand's other end
                 # walk from a slot through alternate cups, the other
-                # factor's first; after an odd number it ends on a slot of
-                # the same factor: a cap
-                j, k = j0, 0
-                seen[j] = 1
-                while cups[k & 1][j] != _FREE:
-                    j = cups[k & 1][j]
+                # factor's first; ending on a slot of the same factor,
+                # right of j0, the strand is a cap
+                seen[j0] = 1
+                j = j0
+                while (j := other[j]) != _FREE:
                     seen[j] = 1
-                    k += 1
-                if k & 1 and j0 < j:
-                    found += bytes((slot[j0], slot[j]))
+                    if side[j] == _FREE:
+                        found += bytes((slot[j0], slot[j]))
+                        break
+                    j = side[j]
+                    seen[j] = 1
             caps.append(bytes(found))
         loops = 0
         for j0, hit in enumerate(seen):
@@ -306,18 +318,6 @@ class _MulContext:
         return self.join[self.cap[top][north1]][self.cap[bot][s2]], loops
 
 
-def _cap(half: bytes, caps: bytes) -> bytes:
-    """Join the through strands of a half with the given slot indices."""
-    if not caps:
-        return half
-    free = [j for j, y in enumerate(half) if y == _FREE]
-    out = bytearray(half)
-    for t in range(0, len(caps), 2):
-        x, y = free[caps[t]], free[caps[t + 1]]
-        out[x], out[y] = y, x
-    return bytes(out)
-
-
 @lru_cache(maxsize=None)
 def _context(n: int) -> _MulContext:
     return _MulContext(n)
@@ -328,7 +328,7 @@ def _factored(a: dict, b: dict, ctx: _MulContext) -> dict:
     through halves (see the module docstring): a is grouped by south half
     and b by north half; per south half of a, b's capped south halves are
     summed per top-cap pattern, then multiplied out against a's capped
-    north halves."""
+    north halves, skipping the sums that cancelled to zero."""
     halves, glue, cap, join = ctx.halves, ctx.glue, ctx.cap, ctx.join
     rows = {}
     for d, c in a.items():
@@ -356,12 +356,19 @@ def _factored(a: dict, b: dict, ctx: _MulContext) -> dict:
             for s2, c2 in col2:
                 y[s2] = yget(s2, 0) + (c2 << loops)
         for top, y in ys.items():
+            if 0 in y.values():  # cancelled: JW_n against a cap sums to zero here
+                for s2 in [s2 for s2, c2 in y.items() if not c2]:
+                    del y[s2]
+                if not y:
+                    continue
             cap_top = cap[top]
             xs = {}
             for north1, c1 in row:
                 north1 = cap_top[north1]
                 xs[north1] = xs.get(north1, 0) + c1
             for north1, c1 in xs.items():
+                if not c1:
+                    continue
                 join_row = join[north1]
                 for s2, c2 in y.items():
                     d = join_row[s2]
@@ -595,10 +602,19 @@ class TLElement:
 
     @classmethod
     def from_json(cls, doc) -> "TLElement":
-        ring = doc["ring"]
-        parse = int if ring == "Fp" else parse_rational
-        out = cls.zero(doc["n"], ring, doc.get("p"))
-        out._fill((term["pairing"], parse(term["coeff"])) for term in doc["terms"])
+        """The element of a to_json document; raises ValueError on a
+        pairing that is not a non-crossing matching of 2n points, or on a
+        coefficient written otherwise than to_json writes it."""
+        ring, n = doc["ring"], doc["n"]
+        parse = parse_integer if ring == "Fp" else parse_rational
+        out = cls.zero(n, ring, doc.get("p"))
+
+        def term(t):
+            d = bytes(t["pairing"])
+            if len(d) != 2 * n or not is_noncrossing(d):
+                raise ValueError(f"{list(d)} is not a diagram of TL_{n}")
+            return d, parse(t["coeff"])
+        out._fill(map(term, doc["terms"]))
         return out
 
 

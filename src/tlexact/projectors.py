@@ -44,7 +44,7 @@ from .coeffs import IntegralityViolationError, check_odd_prime  # the error is r
 from . import tableaux
 from .tableaux import Tableau
 from .diagrams import (CellVector, TLElement, cell_coords, identity_pairing,
-                       is_noncrossing, jm_element, linear_combination)
+                       jm_element, linear_combination)
 
 
 class CacheError(ValueError):
@@ -138,7 +138,6 @@ class JWCache:
 def _is_jones_wenzl(n: int, e: TLElement) -> bool:
     """Whether e is JW_n; see JWCache."""
     return (e.n == n and e.ring == "Q"
-            and all(len(d) == 2 * n and is_noncrossing(d) for d in e.num)
             and e.coeff(identity_pairing(n)) == 1
             and all((TLElement.generator(i, n) * e).is_zero() for i in range(1, n)))
 

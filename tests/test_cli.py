@@ -336,6 +336,19 @@ def test_cache_coefficient_with_a_zero_denominator(tmp_path, capsys):
     assert "'1/0'" in err
 
 
+def test_cache_pairing_that_is_no_diagram(tmp_path, capsys):
+    # a crossing matching, and a sequence of 2n + 2 points
+    path = tmp_path / "jw-cache.json"
+    for pairing in ([2, 3, 0, 1], [0, 1, 2, 3, 4, 5]):
+        doc = projectors.JWCache().get(2).to_json()
+        doc["terms"][0]["pairing"] = pairing
+        path.write_text(json.dumps([{"n": 2, "element": doc}]))
+        code, out, err = run(capsys, "jw", "--n", "2", "--cache", str(path))
+        assert (code, out) == (2, ""), pairing
+        assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert f"{pairing} is not a diagram of TL_2" in err
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       os.pardir, "bench", "golden")
 

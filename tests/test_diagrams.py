@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,14 @@ def test_matching_enumeration():
             for lam in T.two_column_partitions(n))
 
 
+def test_noncrossing_is_exactly_the_enumerated_matchings():
+    # every sequence of 2n values in 0..2n+1, out-of-range values included
+    for n in range(4):
+        valid = set(D.all_matchings(n))
+        for seq in itertools.product(range(2 * n + 2), repeat=2 * n):
+            assert D.is_noncrossing(seq) == (bytes(seq) in valid), seq
+
+
 def test_multiply_matchings_examples():
     u1 = D.generator_pairing(1, 2)
     d, loops = D.compose_pairings(u1, u1, 2)
@@ -46,6 +55,49 @@ def test_grouped_compose_matches_reference():
         for _ in range(min(len(ds) ** 2, 1500)):
             d1, d2 = rng.choice(ds), rng.choice(ds)
             assert ctx.splice(d1, d2) == D.compose_pairings(d1, d2, n)
+
+
+def _halves_reference(d, n):
+    # the generator-expression definition of a diagram's (north, south) halves
+    last = 2 * n - 1
+    north = bytes(y if y < n else D._FREE for y in d[:n])
+    south = bytes(last - y if y >= n else D._FREE for y in d[:n - 1:-1])
+    return north, south
+
+
+def test_halves_match_the_reference_definition():
+    for n in range(9):
+        ctx = D._MulContext(n)
+        for d in D.all_matchings(n):
+            assert ctx.halves[d] == _halves_reference(d, n)
+
+
+def test_glue_table_does_not_depend_on_fill_order():
+    # the slot tables are shared memos: filling the glue table row by row
+    # and column by column must give equal entries; and every single-pair
+    # gluing of a filled context equals strand tracing
+    for n in range(8):
+        ds = D.all_matchings(n)
+        souths = sorted({_halves_reference(d, n)[1] for d in ds})
+        norths = sorted({_halves_reference(d, n)[0] for d in ds})
+        rows, cols = D._MulContext(n), D._MulContext(n)
+        for s in souths:
+            for north in norths:
+                rows.glue[s][north]
+        for north in norths:
+            for s in souths:
+                cols.glue[s][north]
+        assert rows.glue == cols.glue and len(rows.glue) == len(souths)
+        for row in rows.glue.values():
+            for _, top, bot in row.values():
+                for caps in (top, bot):
+                    # each cap once, as (left slot, right slot)
+                    assert len(set(caps)) == len(caps)
+                    assert all(caps[i] < caps[i + 1] for i in range(0, len(caps), 2))
+        if n <= 6:
+            for d1 in ds:
+                for d2 in ds:
+                    assert rows.splice(d1, d2) == D.compose_pairings(d1, d2, n)
 
 
 def test_tl_relations():
@@ -254,6 +306,29 @@ def test_serialization_round_trip():
     doc = zp.to_json()
     assert doc["p"] == 3
     assert TLElement.from_json(doc) == zp
+
+
+def test_from_json_rejects_what_to_json_never_writes():
+    def doc(pairing, coeff="1", ring="Q", n=2):
+        return {"n": n, "ring": ring, **({"p": 3} if ring == "Fp" else {}),
+                "terms": [{"pairing": pairing, "coeff": coeff}]}
+
+    # a crossing matching, and a sequence that is no matching of 2n points
+    for pairing in ([2, 3, 0, 1], [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4]):
+        with pytest.raises(ValueError, match="is not a diagram of TL_2"):
+            TLElement.from_json(doc(pairing))
+    with pytest.raises(ValueError):
+        TLElement.from_json(doc([1, 0, 300, 2]))
+    u1 = list(D.generator_pairing(1, 2))
+    # over F_p a coefficient is the "a" that str writes, nothing looser
+    for coeff in (" 1_0 ", "1.0", "+1", "1/1", "", "1 "):
+        with pytest.raises(ValueError, match="not an integer"):
+            TLElement.from_json(doc(u1, coeff, "Fp"))
+    for coeff, value in (("2", 2), ("-1", 2), ("4", 1)):
+        e = TLElement.from_json(doc(u1, coeff, "Fp"))
+        assert e == TLElement.generator(1, 2, "Fp", 3).scale(value)
+    assert TLElement.from_json(doc(u1, "-1/2")) == TLElement.generator(1, 2).scale(
+        Fraction(-1, 2))
 
 
 def test_ring_guards():

@@ -15,6 +15,8 @@ from tlexact.coeffs import (IntegralityViolationError, InvalidPrimeError,
                             is_p_integral, reduce_mod_p)
 from tlexact.diagrams import TLElement
 
+from oracles import swap_adjacent
+
 
 def _residue_sequences(n, p):
     """The residue sequences of the standard tableaux, scanned directly
@@ -68,7 +70,7 @@ def test_act_y_examples():
 def _alpha_reference(s, k, r):
     """The seminormal coefficient of s and t = s*s_k read off dominance: 1
     going down, (r^2-1)/r^2 going up, 0 when t is not standard."""
-    t = T.swap_adjacent(s, k)
+    t = swap_adjacent(s, k)
     if t is None:
         return Fraction(0)
     if T.dominance_compare(t, s) == "less":
@@ -95,7 +97,7 @@ def test_right_psi_images_are_the_beta_tilde_branches():
                 for k in range(1, n):
                     r = cont[k - 1] - cont[k]
                     ik, ik1 = cont[k - 1] % p, cont[k] % p
-                    t = T.swap_adjacent(s, k)
+                    t = swap_adjacent(s, k)
                     alpha = _alpha_reference(s, k, r)
                     want = {}
                     if alpha:

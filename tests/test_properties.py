@@ -93,6 +93,19 @@ def test_star_is_an_anti_automorphism(ab):
     assert (a * b).star() == b.star() * a.star()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: elements(n)))
+def test_jones_wenzl_absorbs_every_element(a):
+    # every diagram but the identity has a cap on each side, which JW_n
+    # kills: a JW_n = JW_n a = c JW_n, c the coefficient of the identity,
+    # a product where whole rows of partial sums cancel
+    n = a.n
+    jw = P.jones_wenzl(n)
+    want = jw.scale(a.coeff(D.identity_pairing(n)))
+    assert a * jw == jw * a == want
+    assert reference_product(a, jw) == reference_product(jw, a) == want
+
+
 @st.composite
 def closable_elements(draw):
     ring, p = draw(st.sampled_from((("Q", None), ("Fp", 5), ("Zp", 3))))
