@@ -16,7 +16,9 @@ violates p-integrality), 2 on usage errors and on a Jones-Wenzl cache file
 that cannot be read or holds a wrong entry.  Output is deterministic;
 --json switches to the JSON schemas; progress for long computations goes
 to stderr only.  The Jones-Wenzl disk cache is taken from --cache, which
-the environment variable TL_CACHE overrides.
+the environment variable TL_CACHE overrides.  Each check is one row of
+_CHECKS, with the size range it fits; pjw --method both runs the
+recursive = direct row, in f-basis coordinates at every n.
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from . import projectors
 from .projectors import CacheError
 from . import klr
 
-# the full diagram expansion of the recursive construction is kept
-# element-level up to this size; beyond it the comparison runs in f-basis
-# coordinates
+# pjw prints diagram expansions, and verify-all checks the class
+# idempotents on diagrams, up to this size
 _EXPAND_LIMIT = 9
-# the KLR relation suite spans the whole f-basis: about 1 s at n = 10
-_KLR_LIMIT = 10
 
 
 class UsageError(Exception):
@@ -120,31 +119,16 @@ def _cmd_pjw(args):
         raise UsageError(f"--method recursive prints the diagram expansion, "
                          f"kept to n <= {_EXPAND_LIMIT}; use --method both")
     cache, path = _load_cache(args)
-    status = 0
-    direct = recursive = None
-    if method in ("direct", "both") and expand:
-        direct = projectors.p_jones_wenzl_direct(args.n, args.p)
-    if method in ("recursive", "both"):
-        if expand:
-            recursive = klr.p_jones_wenzl_recursive(args.n, args.p)
-        else:
-            _progress(f"n={args.n} > {_EXPAND_LIMIT}: comparing in f-basis "
-                      "coordinates")
+    same = True
     if method == "both":
-        if expand:
-            same = direct == recursive
-        else:
-            same = (klr.p_jones_wenzl_recursive_operator(args.n, args.p)
-                    == klr.direct_projection_operator(args.n, args.p))
-        report = {"check": "pjw-direct-vs-recursive", "n": args.n,
-                  "p": args.p, "pass": same}
+        report, = _direct_vs_recursive(args.n, args.p)
+        same = report["pass"]
         print(json.dumps(report) if args.json else
-              ("direct == recursive" if same else "direct != recursive"))
-        if not same:
-            status = 1
-    out = direct if direct is not None else recursive
-    if out is not None:
-        _print_element(_in_ring(out, args), args.json)
+              "direct == recursive" if same else "direct != recursive")
+    if expand:
+        build = (klr.p_jones_wenzl_recursive if method == "recursive"
+                 else projectors.p_jones_wenzl_direct)
+        _print_element(_in_ring(build(args.n, args.p), args), args.json)
     elif method == "direct":
         # past the expansion limit: print the index set summary
         tabs = tableaux.index_set_tableaux(args.n, args.p)
@@ -155,7 +139,7 @@ def _cmd_pjw(args):
               "sum of seminormal idempotents at indices "
               + ", ".join(str(m) for m in tabs))
     _save_cache(cache, path)
-    return status
+    return 0 if same else 1
 
 
 def _parse_tableau(spec):
@@ -225,54 +209,53 @@ def _emit_reports(reports, as_json):
     return ok
 
 
-def _cmd_diamond_check(args):
-    _require(args, "n", "p")
-    if args.n < 2 * args.p + args.p - 1:
-        raise UsageError("diamond checks need at least two length-p blocks, "
-                         f"n >= {3 * args.p - 1}")
-    return 0 if _emit_reports(klr.diamond_formula_check(args.n, args.p),
-                              args.json) else 1
+def _class_integrality(n, p):
+    report = {"check": "class-idempotent-integrality", "n": n, "p": p,
+              "pass": True}
+    try:
+        for cls in tableaux.all_p_classes(n, p):
+            projectors.class_idempotent(cls, p)
+    except IntegralityViolationError as exc:
+        report.update({"pass": False, "counterexample": str(exc)})
+    return [report]
 
 
-def _cmd_klr_check(args):
-    _require(args, "n", "p")
-    if args.n > _KLR_LIMIT:
-        raise UsageError("the KLR relation suite is exhaustive over the "
-                         f"f-basis and is kept to n <= {_KLR_LIMIT}")
-    return 0 if _emit_reports(klr.klr_relations_check(args.n, args.p),
-                              args.json) else 1
+def _direct_vs_recursive(n, p):
+    # in f-basis coordinates, which determine elements of TL_n faithfully
+    same = (klr.p_jones_wenzl_recursive_operator(n, p)
+            == klr.direct_projection_operator(n, p))
+    return [{"check": "pjw-direct-vs-recursive", "n": n, "p": p, "pass": same}]
 
 
-def _cmd_verify_all(args):
+# the checks, in the order verify-all runs them: the size range
+# n <= bound(p) or n >= bound(p) that each fits, and its (n, p) -> reports,
+# which reads klr's functions at each call, where a tracer may wrap them
+_CHECKS = {
+    # the KLR relation suite spans the whole f-basis: about 1 s at n = 10
+    "klr-check": ("<=", lambda p: 10,
+                  lambda n, p: klr.klr_relations_check(n, p)),
+    "diamond-check": (">=", lambda p: 3 * p - 1,
+                      lambda n, p: klr.diamond_formula_check(n, p)),
+    "class-idempotent-integrality": ("<=", lambda p: _EXPAND_LIMIT,
+                                     _class_integrality),
+    "pjw-direct-vs-recursive": (">=", lambda p: p, _direct_vs_recursive),
+}
+
+
+def _cmd_check(args):
     _require(args, "n", "p")
     n, p = args.n, args.p
-    if _KLR_LIMIT < n < p:
-        raise UsageError(f"no check fits n={n}, p={p}: KLR relations need n <= "
-                         f"{_KLR_LIMIT}, class integrality n <= {_EXPAND_LIMIT}, "
-                         "diamonds n >= 3p-1, recursive = direct n >= p")
-    reports = []
-    if n <= _KLR_LIMIT:
-        reports.extend(klr.klr_relations_check(n, p))
-    if n >= 3 * p - 1:
-        reports.extend(klr.diamond_formula_check(n, p))
-    if n <= _EXPAND_LIMIT:
-        try:
-            for cls in tableaux.all_p_classes(n, p):
-                projectors.class_idempotent(cls, p)
-            reports.append({"check": "class-idempotent-integrality",
-                            "n": n, "p": p, "pass": True})
-        except IntegralityViolationError as exc:
-            reports.append({"check": "class-idempotent-integrality",
-                            "n": n, "p": p, "pass": False,
-                            "counterexample": str(exc)})
-    else:
+    names = _CHECKS if args.command == "verify-all" else (args.command,)
+    bounds = {name: (_CHECKS[name][0], _CHECKS[name][1](p)) for name in names}
+    fit = [name for name, (op, b) in bounds.items()
+           if (n <= b if op == "<=" else n >= b)]
+    if not fit:
+        raise UsageError(f"no check fits n={n}, p={p}: " + ", ".join(
+            f"{name} needs n {op} {b}" for name, (op, b) in bounds.items()))
+    if "class-idempotent-integrality" in bounds.keys() - fit:
         _progress(f"skipping diagram-level integrality at n={n} "
                   f"(> {_EXPAND_LIMIT})")
-    if n >= p:
-        same = (klr.p_jones_wenzl_recursive_operator(n, p)
-                == klr.direct_projection_operator(n, p))
-        reports.append({"check": "pjw-direct-vs-recursive", "n": n, "p": p,
-                        "pass": same})
+    reports = [r for name in fit for r in _CHECKS[name][2](n, p)]
     return 0 if _emit_reports(reports, args.json) else 1
 
 
@@ -301,9 +284,9 @@ _COMMANDS = {
                                      "--json", "--max-n")),
     "classes": (_cmd_classes, _CHECK_FLAGS),
     "collapse": (_cmd_collapse, _CHECK_FLAGS),
-    "diamond-check": (_cmd_diamond_check, _CHECK_FLAGS),
-    "klr-check": (_cmd_klr_check, _CHECK_FLAGS),
-    "verify-all": (_cmd_verify_all, _CHECK_FLAGS),
+    "diamond-check": (_cmd_check, _CHECK_FLAGS),
+    "klr-check": (_cmd_check, _CHECK_FLAGS),
+    "verify-all": (_cmd_check, _CHECK_FLAGS),
 }
 
 

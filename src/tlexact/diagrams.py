@@ -415,6 +415,8 @@ class TLElement:
     __slots__ = ("n", "ring", "p", "num", "den")
 
     def __init__(self, n, terms=None, ring="Q", p=None):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"strand count {n!r} is not an int >= 0")
         if ring not in _RINGS:
             raise ValueError(f"unknown ring {ring!r}")
         if ring in ("Zp", "Fp"):
@@ -602,9 +604,9 @@ class TLElement:
 
     @classmethod
     def from_json(cls, doc) -> "TLElement":
-        """The element of a to_json document; raises ValueError on a
-        pairing that is not a non-crossing matching of 2n points, or on a
-        coefficient written otherwise than to_json writes it."""
+        """The element of a to_json document; raises ValueError on an n that
+        is no int >= 0, a pairing that is not a non-crossing matching of 2n
+        points, or a coefficient written otherwise than to_json writes it."""
         ring, n = doc["ring"], doc["n"]
         parse = parse_integer if ring == "Fp" else parse_rational
         out = cls.zero(n, ring, doc.get("p"))

@@ -6,8 +6,9 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from tlexact import projectors
+from tlexact import klr, projectors, tableaux
 from tlexact.cli import main
+from tlexact.coeffs import IntegralityViolationError
 from tlexact.diagrams import TLElement
 
 
@@ -50,7 +51,42 @@ def test_pjw_both_large_runs_in_coordinates(capsys):
                          "--method", "both")
     assert code == 0
     assert "direct == recursive" in out
-    assert err == "n=12 > 9: comparing in f-basis coordinates\n"
+    assert err == ""
+
+
+def test_pjw_both_compares_operators_only(capsys, monkeypatch):
+    # --method both decides recursive = direct in f-basis coordinates at
+    # every n, and prints the direct expansion up to n = 9
+    code, direct, _ = run(capsys, "pjw", "--n", "8", "--p", "3")
+    assert code == 0
+
+    def element_route(*args):
+        raise AssertionError("the element route of the recursive construction")
+    to_element = klr.operator_to_element
+    monkeypatch.setattr(klr, "p_jones_wenzl_recursive", element_route)
+    monkeypatch.setattr(klr, "operator_to_element", lambda x: (
+        element_route() if x.n == 8 else to_element(x)))
+    assert run(capsys, "pjw", "--n", "8", "--p", "3", "--method", "both") \
+        == (0, "direct == recursive\n" + direct, "")
+    code, out, _ = run(capsys, "pjw", "--n", "8", "--p", "3", "--method",
+                       "both", "--json")
+    assert code == 0 and out.splitlines()[0] == json.dumps(
+        {"check": "pjw-direct-vs-recursive", "n": 8, "p": 3, "pass": True})
+
+
+def test_pjw_both_reports_a_mismatch(capsys, monkeypatch):
+    # the direct operator with one index dropped
+    def short(n, p):
+        tabs = list(tableaux.index_set_tableaux(n, p).values())[1:]
+        return klr.op_projection(tabs, n, p, "left")
+    code, direct, _ = run(capsys, "pjw", "--n", "5", "--p", "3")
+    monkeypatch.setattr(klr, "direct_projection_operator", short)
+    assert run(capsys, "pjw", "--n", "5", "--p", "3", "--method", "both") \
+        == (1, "direct != recursive\n" + direct, "")
+    code, out, err = run(capsys, "pjw", "--n", "12", "--p", "3",
+                         "--method", "both", "--json")
+    assert (code, err) == (1, "") and json.loads(out) == {
+        "check": "pjw-direct-vs-recursive", "n": 12, "p": 3, "pass": False}
 
 
 def test_pjw_past_the_expansion_limit(capsys):
@@ -169,6 +205,50 @@ def test_verify_all_that_fits_no_check_is_a_usage_error(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("usage error: no check fits n=12, p=13: ")
     assert err.count("\n") == 1
+    # the range of every check, as numbers at this p
+    for name, size in (("klr-check", "n <= 10"), ("diamond-check", "n >= 38"),
+                       ("class-idempotent-integrality", "n <= 9"),
+                       ("pjw-direct-vs-recursive", "n >= 13")):
+        assert f"{name} needs {size}" in err
+
+
+def test_verify_all_runs_the_checks_that_fit_in_order(capsys):
+    def class_integrality(n, p):
+        return [{"check": "class-idempotent-integrality", "n": n, "p": p,
+                 "pass": True}]
+
+    def direct_vs_recursive(n, p):
+        return [{"check": "pjw-direct-vs-recursive", "n": n, "p": p,
+                 "pass": True}]
+    ranges = ((lambda n, p: n <= 10, klr.klr_relations_check),
+              (lambda n, p: n >= 3 * p - 1, klr.diamond_formula_check),
+              (lambda n, p: n <= 9, class_integrality),
+              (lambda n, p: n >= p, direct_vs_recursive))
+    for n, p, fitting in ((5, 3, 3), (8, 3, 4), (12, 3, 2), (7, 5, 3)):
+        want = [r for fits, check in ranges if fits(n, p) for r in check(n, p)]
+        assert sum(fits(n, p) for fits, _ in ranges) == fitting
+        code, out, err = run(capsys, "verify-all", "--n", str(n), "--p",
+                             str(p), "--json")
+        assert code == 0, (n, p)
+        assert out.splitlines() == [json.dumps(r) for r in want], (n, p)
+        assert err == ("skipping diagram-level integrality at n=12 (> 9)\n"
+                       if n > 9 else "")
+
+
+def test_verify_all_reports_a_class_integrality_violation(capsys, monkeypatch):
+    def class_idempotent(cls, p):
+        raise IntegralityViolationError(Fraction(1, 3), 3)
+    monkeypatch.setattr(projectors, "class_idempotent", class_idempotent)
+    code, out, err = run(capsys, "verify-all", "--n", "5", "--p", "3")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[-2] == ("FAIL class-idempotent-integrality (n=5, p=3)  "
+                         "coefficient 1/3 is not integral at 3")
+    assert all(line.startswith("PASS") for line in lines[:-2] + lines[-1:])
+    code, out, _ = run(capsys, "verify-all", "--n", "5", "--p", "3", "--json")
+    assert code == 1 and json.loads(out.splitlines()[-2]) == {
+        "check": "class-idempotent-integrality", "n": 5, "p": 3,
+        "pass": False, "counterexample": "coefficient 1/3 is not integral at 3"}
 
 
 def test_jw_past_eight_strands_prints_pairing_lists(capsys):
@@ -218,6 +298,16 @@ def test_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("usage error: ") and err.count("\n") == 1, argv
+    for argv, message in (
+            (("idempotent",), "--tableau is required for this command"),
+            (("idempotent", "--tableau", "1,x"),
+             "cannot parse tableau spec '1,x'"),
+            (("idempotent", "--tableau", "1,1,2", "--max-n", "2"),
+             "tableau size exceeds --max-n=2"),
+            (("collapse", "--n", "2", "--p", "3"), "collapse needs n >= p"),
+            (("diamond-check", "--n", "7", "--p", "3"),
+             "no check fits n=7, p=3: diamond-check needs n >= 8")):
+        assert run(capsys, *argv) == (2, "", f"usage error: {message}\n"), argv
 
 
 # the CLI with the first diamond tripled, so that the diamond suite fails
@@ -317,11 +407,16 @@ def test_cache_file_is_validated(tmp_path, capsys):
         assert "n=3" in err
     # the wrong entry was dropped, not kept for the next run in the process
     assert run(capsys, "jw", "--n", "3")[:2] == (0, good)
-    for text in ("{not json", "[{\"n\": 3}]", "{\"n\": 3}"):
+    # an entry that names no strand count fails at load, not at first use
+    no_count = [json.dumps([{"n": 3, "element": {"n": n, "ring": "Q",
+                                                "terms": []}}])
+                for n in ("3", -1)]
+    for text in ("{not json", "[{\"n\": 3}]", "{\"n\": 3}", *no_count):
         path.write_text(text)
         code, out, err = run(capsys, "jw", "--n", "3", "--cache", str(path))
         assert (code, out) == (2, ""), text
         assert err.startswith("cache error: ") and err.count("\n") == 1
+        assert "is not a Jones-Wenzl cache file" in err  # at load
         assert path.read_text() == text
 
 

@@ -331,6 +331,15 @@ def test_from_json_rejects_what_to_json_never_writes():
         Fraction(-1, 2))
 
 
+
+def test_strand_count_is_an_int_at_least_zero():
+    for n in ("2", -1, True, 2.0):
+        with pytest.raises(ValueError, match="strand count"):
+            TLElement.from_json({"n": n, "ring": "Q", "terms": []})
+        with pytest.raises(ValueError, match="strand count"):
+            TLElement(n)
+    assert TLElement.from_json({"n": 0, "ring": "Q", "terms": []}) == TLElement(0)
+
 def test_ring_guards():
     with pytest.raises(ValueError):
         TLElement.one(2, "Zp", 4)
