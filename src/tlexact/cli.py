@@ -28,8 +28,8 @@ import json
 import os
 import sys
 
-from .coeffs import (IntegralityViolationError, InvalidPrimeError, check_odd_prime,
-                     format_rational)
+from .coeffs import (IntegralityViolationError, InvalidPrimeError, InvariantError,
+                     check_odd_prime, format_rational)
 from . import tableaux
 from .diagrams import element_to_str
 from . import projectors
@@ -121,10 +121,10 @@ def _cmd_pjw(args):
     cache, path = _load_cache(args)
     same = True
     if method == "both":
-        report, = _direct_vs_recursive(args.n, args.p)
+        report, = _run_row("pjw-direct-vs-recursive", args.n, args.p)
         same = report["pass"]
-        print(json.dumps(report) if args.json else
-              "direct == recursive" if same else "direct != recursive")
+        print(json.dumps(report) if args.json else "direct == recursive" if same
+              else f"direct != recursive  {report.get('counterexample', '')}".rstrip())
     if expand:
         build = (klr.p_jones_wenzl_recursive if method == "recursive"
                  else projectors.p_jones_wenzl_direct)
@@ -210,14 +210,10 @@ def _emit_reports(reports, as_json):
 
 
 def _class_integrality(n, p):
-    report = {"check": "class-idempotent-integrality", "n": n, "p": p,
-              "pass": True}
-    try:
-        for cls in tableaux.all_p_classes(n, p):
-            projectors.class_idempotent(cls, p)
-    except IntegralityViolationError as exc:
-        report.update({"pass": False, "counterexample": str(exc)})
-    return [report]
+    for cls in tableaux.all_p_classes(n, p):
+        projectors.class_idempotent(cls, p)
+    return [{"check": "class-idempotent-integrality", "n": n, "p": p,
+             "pass": True}]
 
 
 def _direct_vs_recursive(n, p):
@@ -242,6 +238,16 @@ _CHECKS = {
 }
 
 
+def _run_row(name, n, p):
+    """The reports of the _CHECKS row name; a broken invariant or a
+    p-integrality violation ends the row in one failed report."""
+    try:
+        return _CHECKS[name][2](n, p)
+    except (InvariantError, IntegralityViolationError) as exc:
+        return [{"check": name, "n": n, "p": p, "pass": False,
+                 "counterexample": str(exc)}]
+
+
 def _cmd_check(args):
     _require(args, "n", "p")
     n, p = args.n, args.p
@@ -255,7 +261,7 @@ def _cmd_check(args):
     if "class-idempotent-integrality" in bounds.keys() - fit:
         _progress(f"skipping diagram-level integrality at n={n} "
                   f"(> {_EXPAND_LIMIT})")
-    reports = [r for name in fit for r in _CHECKS[name][2](n, p)]
+    reports = [r for name in fit for r in _run_row(name, n, p)]
     return 0 if _emit_reports(reports, args.json) else 1
 
 

@@ -31,12 +31,12 @@ On top of the generator actions the module builds the diamond operators
 alone; the right closed form is the left one with 1/X for the exchange
 coefficient X), the induced inclusion of a smaller Temperley-Lieb algebra
 sending u_i to the i-th diamond, the small-algebra Jucys-Murphy operators, and
-the recursive construction of the p-Jones-Wenzl idempotent along the
-base-p radix chain.  Operators multiply with ``*`` (``op_product``), so the
-small JM operators and their interpolation reuse the element-level code.
-Relation checkers certify the whole calculus numerically: the full KLR
-relation suite, the closed diamond action formulas, and the final
-recursive = direct comparison.
+the recursive p-Jones-Wenzl idempotent along the base-p radix chain, whose
+levels are tableau sets read off the small JM eigenvalues.  Operators
+multiply with ``*`` (``op_product``), so the small JM operators and their
+interpolation reuse the element-level code.  Relation checkers certify the
+whole calculus numerically: the full KLR relation suite, the closed diamond
+action formulas, and the final recursive = direct comparison.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from . import tableaux
 from .tableaux import Tableau
 from .diagrams import TLElement, diagram_words, jucys_murphy, linear_combination
 from . import projectors
-from .projectors import jones_wenzl, seminormal_idempotent
+from .projectors import seminormal_idempotent
 
 
 # ---------------------------------------------------------------------------
@@ -808,17 +808,25 @@ def operator_from_element_via_cells(a: TLElement, p: int,
 
 
 def p_jones_wenzl_recursive_operator(n: int, p: int) -> SeminormalOperator:
-    """Compose the inclusions along the base-p radix chain, lifting the
-    bottom one-column seminormal idempotent (a Jones-Wenzl projector of
-    size a_k - 1) all the way up to an operator on the f-basis of TL_n."""
+    """Compose the inclusions along the base-p radix chain on tableau sets,
+    from the one-column tableau of size a_k - 1 (the Jones-Wenzl projector).
+    The inclusion sends E'_s to the projection onto the one-column p-class
+    members on which the small JM operators have the contents of s as
+    eigenvalues; the result projects onto the top set."""
     check_odd_prime(p)
     if n < p:
         raise ValueError("the recursive construction needs n >= p")
     sizes = tableaux.radix_chain(n, p).sizes
-    x = jones_wenzl(sizes[-1])  # bottom: E_(one-column) in TL_(a_k - 1)
-    for m in sizes[-2:0:-1]:
-        x = operator_to_element(iota_klr(x, m, p))
-    return iota_klr(x, n, p)
+    kept = [tableaux.one_column_tableau(sizes[-1])]
+    for m in sizes[-2::-1]:
+        jms = _small_jms(m, p, "left")[:n2_of(m, p)]
+        if any(row.keys() != {u} for op in jms for u, row in op.action.items()):
+            raise InvariantError(f"the small JM operators at n={m}, p={p} "
+                                 "are not diagonal")
+        want = {tableaux.contents(s) for s in kept}
+        kept = [u for u in tableaux.class_of_one_column(m, p) if tuple(
+            Fraction(op.action.get(u, {}).get(u, 0), op.den) for op in jms) in want]
+    return op_projection(kept, n, p, "left")
 
 
 def p_jones_wenzl_recursive(n: int, p: int) -> TLElement:

@@ -31,6 +31,9 @@ Criteria:
 10. The p = 7 suite: the KLR relation suite at (8,7) and (10,7), with all
     six psi-squared branches exercised on both sides, and the diamond
     suite for n = 20..27 at p = 7; under 120 s.
+11. Recursive = direct p-Jones-Wenzl at (39,3) and (44,3), where the
+    radix chain 39 -> 12 -> 3 -> 0 passes through TL_12 and the classes
+    have 1848 and 3432 members; under 60 s.
 """
 
 import time
@@ -302,3 +305,10 @@ def test_criterion_10_p7_suite():
         for n in range(20, 28):
             for r in K.diamond_formula_check(n, 7):
                 assert r["pass"], r
+
+
+def test_criterion_11_recursive_at_classes_of_thousands():
+    with criterion("criterion 11: recursive = direct at (39,3), (44,3)", 60):
+        for (n, p) in [(39, 3), (44, 3)]:
+            assert K.p_jones_wenzl_recursive_operator(n, p) \
+                == K.direct_projection_operator(n, p), (n, p)

@@ -62,10 +62,8 @@ def test_pjw_both_compares_operators_only(capsys, monkeypatch):
 
     def element_route(*args):
         raise AssertionError("the element route of the recursive construction")
-    to_element = klr.operator_to_element
     monkeypatch.setattr(klr, "p_jones_wenzl_recursive", element_route)
-    monkeypatch.setattr(klr, "operator_to_element", lambda x: (
-        element_route() if x.n == 8 else to_element(x)))
+    monkeypatch.setattr(klr, "operator_to_element", element_route)
     assert run(capsys, "pjw", "--n", "8", "--p", "3", "--method", "both") \
         == (0, "direct == recursive\n" + direct, "")
     code, out, _ = run(capsys, "pjw", "--n", "8", "--p", "3", "--method",
@@ -310,27 +308,39 @@ def test_usage_errors(capsys):
         assert run(capsys, *argv) == (2, "", f"usage error: {message}\n"), argv
 
 
-# the CLI with the first diamond tripled, so that the diamond suite fails
-# with Fractions in its counterexamples
+# the CLI with diamond i tripled (so that the diamond suite fails with
+# Fractions in its counterexamples), or with apply_block_swap planted to
+# return None (so that the closed diamond form raises InvariantError)
 _PLANTED = """
 import sys
-from tlexact import cli, klr
-diamond = klr.diamond
-klr.diamond = lambda i, n, p, side: diamond(i, n, p, side).scale(3 if i == 1 else 1)
-sys.exit(cli.main(sys.argv[1:]))
+from tlexact import cli, klr, tableaux
+i = int(sys.argv[1])
+if i:
+    diamond = klr.diamond
+    klr.diamond = lambda j, n, p, side: diamond(j, n, p, side).scale(3 if j == i else 1)
+else:
+    tableaux.apply_block_swap = lambda t, j, p: None
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_failed_reports_in_json():
+def run_planted(plant, *argv):
+    """Exit code and stdout of the CLI in a fresh process with the plant of
+    _PLANTED (a diamond index, or 0 for the block swap); a traceback fails."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PLANTED, str(plant), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout
+
+
+def test_failed_reports_in_json():
     for command in ("diamond-check", "verify-all"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _PLANTED, command, "--n", "8", "--p", "3", "--json"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
-        reports = [json.loads(line) for line in proc.stdout.splitlines()]
+        code, out = run_planted(1, command, "--n", "8", "--p", "3", "--json")
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()]
         closed = [r for r in reports if r["check"].startswith("diamond-closed-form")]
         assert len(closed) == 2 and not any(r["pass"] for r in closed)
         # the got and want images of the first failing index, with their
@@ -339,6 +349,31 @@ def test_failed_reports_in_json():
         assert i == 1 and all(isinstance(c, str) for _, c in got + want)
         assert [[t, Fraction(c)] for t, c in got] \
             == [[t, 3 * Fraction(c)] for t, c in want]
+
+
+def test_broken_invariant_is_a_failed_report():
+    # apply_block_swap returning None breaks the closed diamond form's
+    # invariant: the diamond-check row ends in one failed report, exit 1
+    code, out = run_planted(0, "diamond-check", "--n", "11", "--p", "3", "--json")
+    report = json.loads(out)
+    assert code == 1 and report.pop("counterexample").endswith(
+        "the block swap disagrees with rho = -2")
+    assert report == {"check": "diamond-check", "n": 11, "p": 3, "pass": False}
+    code, out = run_planted(0, "diamond-check", "--n", "11", "--p", "3")
+    assert code == 1 and out.startswith("FAIL diamond-check (n=11, p=3)  blocks ")
+    # diamond 2 tripled at (11,3): the recursive route reads L_3, built from
+    # it, and finds it not diagonal; verify-all reports it in the same row
+    message = "the small JM operators at n=11, p=3 are not diagonal"
+    assert run_planted(2, "pjw", "--n", "11", "--p", "3", "--method", "both") \
+        == (1, f"direct != recursive  {message}\n")
+    code, out = run_planted(2, "pjw", "--n", "11", "--p", "3", "--method",
+                            "both", "--json")
+    assert code == 1 and json.loads(out) == {
+        "check": "pjw-direct-vs-recursive", "n": 11, "p": 3, "pass": False,
+        "counterexample": message}
+    code, out = run_planted(2, "verify-all", "--n", "11", "--p", "3")
+    assert code == 1 and out.splitlines()[-1] \
+        == f"FAIL pjw-direct-vs-recursive (n=11, p=3)  {message}"
 
 
 def test_klr_check_at_the_cap(capsys):

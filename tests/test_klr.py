@@ -12,7 +12,7 @@ from tlexact import diagrams as D
 from tlexact import projectors as P
 from tlexact import klr as K
 from tlexact.coeffs import (IntegralityViolationError, InvalidPrimeError,
-                            is_p_integral, reduce_mod_p)
+                            InvariantError, is_p_integral, reduce_mod_p)
 from tlexact.diagrams import TLElement
 
 from oracles import swap_adjacent
@@ -918,6 +918,55 @@ def test_recursive_equals_direct_elements_small():
 
 def test_recursive_equals_direct_elements_past_the_expansion_limit():
     assert K.p_jones_wenzl_recursive(10, 3) == P.p_jones_wenzl_direct(10, 3)
+
+
+def test_recursive_operator_is_the_inclusion_of_the_level_below():
+    # the tableau-set route against the paper's inclusion, applied to the
+    # element one level down: the recursive idempotent of size n2, or the
+    # Jones-Wenzl projector where n2 < p starts the chain
+    for p in (3, 5, 7):
+        for n in range(p, 13):
+            n2 = K.n2_of(n, p)
+            x = K.p_jones_wenzl_recursive(n2, p) if n2 >= p else P.jones_wenzl(n2)
+            assert K.iota_klr(x, n, p) == K.p_jones_wenzl_recursive_operator(n, p), \
+                (n, p)
+
+
+def test_recursive_operator_stays_off_the_diagram_layer(monkeypatch):
+    # the route reads tableau sets off the small JM operators: no diagram
+    # element, no inclusion of one, and none of the collapse or index-set
+    # functions that the direct construction and its checks use
+    cases = [(12, 3), (14, 5), (24, 3)]
+    direct = {c: K.direct_projection_operator(*c) for c in cases}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recursive route left tableaux and klr")
+    assert not hasattr(K, "jones_wenzl")
+    for module, name in [(K, "operator_to_element"), (K, "iota_klr"),
+                         (K, "diagram_words"), (D, "diagram_words"),
+                         (P, "jones_wenzl"), (T, "collapse"),
+                         (T, "collapse_fiber"), (T, "index_set"),
+                         (T, "index_set_tableaux"), (T, "tableau_from_index")]:
+        monkeypatch.setattr(module, name, forbidden)
+    # rebuild the cached diamonds and small JM operators under the patches
+    K.diamond.cache_clear()
+    K._small_jms.cache_clear()
+    for c in cases:
+        assert K.p_jones_wenzl_recursive_operator(*c) == direct[c], c
+
+
+def test_recursive_operator_raises_on_a_non_diagonal_small_jm(monkeypatch):
+    # diamond 2 tripled at (11,3): L_3 is built from it and is no longer
+    # diagonal on the class, which the route reads as a broken invariant
+    real = K.diamond
+    monkeypatch.setattr(K, "diamond", lambda i, n, p, side: (
+        real(i, n, p, side).scale(3 if i == 2 else 1)))
+    K._small_jms.cache_clear()
+    try:
+        with pytest.raises(InvariantError, match="not diagonal"):
+            K.p_jones_wenzl_recursive_operator(11, 3)
+    finally:
+        K._small_jms.cache_clear()
 
 
 def test_cell_route_cross_validation():

@@ -47,6 +47,21 @@ def test_partial_close():
         P.partial_close(3, 3)
 
 
+def test_markov_trace_of_seminormal_idempotents():
+    # closing all n strands of E'_t of shape (l1, l2) leaves l1 - l2 + 1:
+    # E'_t is a rank-one projection in the multiplicity space of the sl_2
+    # module of that dimension (JW_n gives n + 1)
+    count = 0
+    for n in range(10):
+        for t in T.all_standard_tableaux(n):
+            e = P.seminormal_idempotent(t)
+            for _ in range(n):
+                e = P.close_rightmost(e)
+            assert e == TLElement.one(0).scale(t.count(1) - t.count(2) + 1), t
+            count += 1
+    assert count == 274
+
+
 def test_absorption():
     for n in range(2, 7):
         jw = P.jones_wenzl(n)
