@@ -13,13 +13,13 @@ from tlexact.projectors import class_idempotent, p_jones_wenzl_direct
 n, p = 12, 3
 print(f"base-{p} digits of {n + 1}:", T.base_p_digits(n + 1, p))
 print(f"index set of n={n}:", sorted(T.index_set(n, p)))
-for m, t in T.index_set_tableaux(n, p).items():
+for m, t in T.index_set(n, p).items():
     print(f"  m={m:>2}: tableau {''.join(map(str, t))}")
 
 cls = T.class_of_one_column(n, p)
 print(f"\nthe {p}-class of the one-column tableau has {len(cls)} members;")
 print("residues:", ",".join(map(str, T.residue_sequence(cls[0], p))))
-extra = sorted(set(cls) - set(T.index_set_tableaux(n, p).values()))
+extra = sorted(set(cls) - set(T.index_set(n, p).values()))
 print("two of them are NOT summands of the p-Jones-Wenzl idempotent:")
 for t in extra:
     print("  ", "".join(map(str, t)))

@@ -131,7 +131,7 @@ def _cmd_pjw(args):
         _print_element(_in_ring(build(args.n, args.p), args), args.json)
     elif method == "direct":
         # past the expansion limit: print the index set summary
-        tabs = tableaux.index_set_tableaux(args.n, args.p)
+        tabs = tableaux.index_set(args.n, args.p)
         doc = {"n": args.n, "p": args.p,
                "summands": [{"index": m, "tableau": list(t)}
                             for m, t in tabs.items()]}

@@ -232,8 +232,7 @@ def act_e(iseq, n: int, p: int, side: str = "left") -> SeminormalOperator:
     if len(iseq) != n:
         raise ValueError(f"residue sequence {iseq} has length {len(iseq)}, "
                          f"expected n = {n}")
-    return op_projection((s for s in tableaux.all_standard_tableaux(n)
-                          if tableaux._residues(s, p) == iseq), n, p, side)
+    return op_projection(tableaux._ballot_walk(n, iseq, p), n, p, side)
 
 
 def act_y(l: int, n: int, p: int, side: str = "left") -> SeminormalOperator:
@@ -839,4 +838,4 @@ def p_jones_wenzl_recursive(n: int, p: int) -> TLElement:
 def direct_projection_operator(n: int, p: int) -> SeminormalOperator:
     """The direct p-Jones-Wenzl idempotent in the f-basis action model: the
     projection onto the row indices from the base-p index set."""
-    return op_projection(tableaux.index_set_tableaux(n, p).values(), n, p, "left")
+    return op_projection(tableaux.index_set(n, p).values(), n, p, "left")

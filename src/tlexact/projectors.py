@@ -307,5 +307,5 @@ def p_jones_wenzl_direct(n: int, p: int, ring: str = "Q") -> TLElement:
     reduction mod p."""
     check_odd_prime(p)
     out = linear_combination(((1, seminormal_idempotent(t)) for t in
-                              tableaux.index_set_tableaux(n, p).values()), n)
+                              tableaux.index_set(n, p).values()), n)
     return out.in_ring(ring, p)

@@ -5,14 +5,18 @@ stored as the pair of column lengths (l1, l2) with l1 >= l2 and l1 + l2 = n.
 A standard tableau of such a shape is stored as its ballot sequence: the
 tuple (c_1, ..., c_n) where c_i in {1, 2} is the column containing the entry
 i.  A column sequence is the ballot sequence of a standard tableau exactly
-when every prefix contains at least as many 1s as 2s.
+when every prefix contains at least as many 1s as 2s.  One walk over
+these prefixes enumerates every tableau set: all tableaux of size n (each
+shape is a filter of them) and, walked with a residue sequence, each
+p-class.
 
 On top of the plain combinatorics (contents, dominance, enumeration) this
 module implements the mod-p structure driving the rest of the package:
 residue sequences, p-classes, block decompositions D_1 M_1 ... D_k M_k, the
-base-p index set attached to n+1, the collapse bijections from the p-class
-of the one-column tableau onto smaller tableaux, and the base-p radix chain
-n -> n_2 -> n_2' -> ... used by the recursive constructions.
+base-p index set attached to n+1 (with the tableau of each element), the
+collapse bijections from the p-class of the one-column tableau onto
+smaller tableaux, and the base-p radix chain n -> n_2 -> n_2' -> ... used
+by the recursive constructions.
 
 Dominance on tableaux compares the shapes of all restrictions; it is a
 partial order.  Where a total enumeration order is needed we refine it
@@ -68,6 +72,32 @@ def shape_of(t: Tableau) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _ballot_walk(n: int, res=None, p=None) -> tuple:
+    """The ballot sequences of length n, lexicographically: each prefix
+    grows by a 1 before a 2.  Given a residue sequence res, a prefix grows
+    only by a column whose next content (-ones for a 1, 1 - twos for a 2)
+    has the target residue mod p, which leaves the p-class of res."""
+    states = [((), 0, 0)]  # (prefix, number of 1s, number of 2s)
+    for i in range(n):
+        grown = []
+        for t, ones, twos in states:
+            if res is None or -ones % p == res[i]:
+                grown.append((t + (1,), ones + 1, twos))
+            if twos < ones and (res is None or (1 - twos) % p == res[i]):
+                grown.append((t + (2,), ones, twos + 1))
+        states = grown
+    return tuple(t for t, _, _ in states)
+
+
+def all_standard_tableaux(n: int) -> tuple:
+    """All two-column standard tableaux with n entries, in lexicographic
+    order across shapes.  Their number is C(n, floor(n/2))."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _ballot_walk(n)
+
+
+@lru_cache(maxsize=None)
 def standard_tableaux(shape: tuple) -> tuple:
     """All standard tableaux of the given shape, ascending in dominance
     (lexicographic refinement).  First element is the column-reading
@@ -75,27 +105,7 @@ def standard_tableaux(shape: tuple) -> tuple:
     l1, l2 = shape
     if l1 < l2 or l2 < 0:
         raise ValueError(f"invalid two-column shape {shape}")
-    n = l1 + l2
-    out = []
-    for positions in itertools.combinations(range(n), l2):
-        cols = [1] * n
-        for j in positions:
-            cols[j] = 2
-        if is_standard(cols):
-            out.append(tuple(cols))
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def all_standard_tableaux(n: int) -> tuple:
-    """All two-column standard tableaux with n entries, in lexicographic
-    order across shapes.  Their number is C(n, floor(n/2))."""
-    out = []
-    for shape in two_column_partitions(n):
-        out.extend(standard_tableaux(shape))
-    out.sort()
-    return tuple(out)
+    return tuple(t for t in all_standard_tableaux(l1 + l2) if t.count(2) == l2)
 
 
 def one_column_tableau(n: int) -> Tableau:
@@ -165,28 +175,11 @@ def dominance_compare(s: Tableau, t: Tableau) -> str:
 # p-classes
 
 
-@lru_cache(maxsize=None)
-def _class_with_residues(res: tuple, p: int) -> tuple:
-    """The ballot sequences with residue sequence res, lexicographically: a
-    prefix grows only by a column whose next content (-ones for a 1,
-    1 - twos for a 2) has the target residue."""
-    states = [((), 0, 0)]  # (prefix, number of 1s, number of 2s)
-    for r in res:
-        grown = []
-        for t, ones, twos in states:
-            if -ones % p == r:
-                grown.append((t + (1,), ones + 1, twos))
-            if twos < ones and (1 - twos) % p == r:
-                grown.append((t + (2,), ones, twos + 1))
-        states = grown
-    return tuple(t for t, _, _ in states)
-
-
 def p_class(t: Tableau, p: int) -> tuple:
     """All two-column standard tableaux with the same residue sequence as
     t, sorted lexicographically.  Always contains t.  A residue-pruned
     search; all_p_classes groups the whole basis instead."""
-    return _class_with_residues(residue_sequence(t, p), p)
+    return _ballot_walk(len(t), residue_sequence(t, p), p)
 
 
 def all_p_classes(n: int, p: int) -> list:
@@ -259,13 +252,15 @@ def block_decomposition(t: Tableau) -> BlockDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# base-p expansion, the index set, and its tableaux
+# base-p expansion and the index set
 
 
 def base_p_digits(value: int, p: int) -> tuple:
-    """Digits of value in base p, most significant first; value >= 1."""
+    """Digits of value in base p >= 2, most significant first; value >= 1."""
     if value < 1:
         raise ValueError("value must be >= 1")
+    if p < 2:
+        raise ValueError("base must be >= 2")
     digits = []
     while value:
         value, a = divmod(value, p)
@@ -274,63 +269,42 @@ def base_p_digits(value: int, p: int) -> tuple:
 
 
 def index_set(n: int, p: int) -> dict:
-    """The base-p index set attached to n: writing n+1 = sum a_j p^j with
-    leading digit a_k != 0, its elements are (a_k p^k +- a_(k-1) p^(k-1)
-    +- ... +- a_0) - 1 over all sign choices at the nonzero digits below
-    the leading one.  Returns {m: signs} where signs is the per-digit sign
-    tuple (most significant first, +1 at zero digits)."""
+    """The base-p index set attached to n, with its tableaux.
+
+    Writing n+1 = sum a_j p^j with leading digit a_k != 0, the elements
+    are m = (a_k p^k +- a_(k-1) p^(k-1) +- ... +- a_0) - 1 over all sign
+    choices at the nonzero digits below the leading one.  The tableau t_m
+    reads the signed terms in order: a_j p^j entries in column 1 for a +
+    and in column 2 for a -, one fewer for the leading term.  So the
+    maximal runs of one sign give |D_1| + 1, |M_1|, |D_2|, ...
+    Returns {m: t_m}, sorted by m."""
     check_odd_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     digits = base_p_digits(n + 1, p)
-    lower = digits[1:]
-    choice_positions = [j for j, a in enumerate(lower) if a != 0]
+    k = len(digits) - 1
+    lower = [a * p ** (k - j) for j, a in enumerate(digits) if j and a]
     out = {}
-    for signs in itertools.product((1, -1), repeat=len(choice_positions)):
-        full = [1] * len(lower)
-        for pos, eps in zip(choice_positions, signs):
-            full[pos] = eps
-        value = digits[0]
-        for a, eps in zip(lower, full):
-            value = value * p + eps * a
-        out[value - 1] = (1,) + tuple(full)
-    return out
+    # the column of each lower term: 1 for a +, 2 for a -
+    for columns in itertools.product((1, 2), repeat=len(lower)):
+        m = digits[0] * p ** k - 1
+        cols = [1] * m
+        for term, c in zip(lower, columns):
+            m += term if c == 1 else -term
+            cols += [c] * term
+        t = tuple(cols)
+        if len(t) != n or not is_standard(t):
+            raise InvariantError(f"index {m} gave {t}, not a standard tableau of size {n}")
+        out[m] = t
+    return dict(sorted(out.items()))
 
 
 def tableau_from_index(m: int, n: int, p: int) -> Tableau:
-    """The tableau attached to an element m of the index set: maximal
-    constant-sign digit runs give the block cardinalities |D_1| = (leading
-    positive run value) - 1, then |M_1|, |D_2|, ... as the run values."""
-    signs = index_set(n, p).get(m)
-    if signs is None:
+    """The tableau t_m attached to an element m of the index set."""
+    t = index_set(n, p).get(m)
+    if t is None:
         raise ValueError(f"{m} is not in the index set of n={n}, p={p}")
-    digits = base_p_digits(n + 1, p)
-    k = len(digits) - 1
-    runs = []
-    pos = 0
-    sign = 1
-    while pos <= k:
-        value = 0
-        while pos <= k and (digits[pos] == 0 or signs[pos] == sign):
-            value += digits[pos] * p ** (k - pos)
-            pos += 1
-        runs.append(value)
-        sign = -sign
-    cards = []
-    for j, value in enumerate(runs):
-        cards.append(value - 1 if j == 0 else value)
-    out = []
-    for j, c in enumerate(cards):
-        out.extend([1 if j % 2 == 0 else 2] * c)
-    t = tuple(out)
-    if len(t) != n or not is_standard(t):
-        raise InvariantError(f"index {m} gave {t}, not a standard tableau of size {n}")
     return t
-
-
-def index_set_tableaux(n: int, p: int) -> dict:
-    """{m: tableau_from_index(m, n, p)} over the index set, sorted by m."""
-    return {m: tableau_from_index(m, n, p) for m in sorted(index_set(n, p))}
 
 
 # ---------------------------------------------------------------------------

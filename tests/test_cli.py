@@ -75,7 +75,7 @@ def test_pjw_both_compares_operators_only(capsys, monkeypatch):
 def test_pjw_both_reports_a_mismatch(capsys, monkeypatch):
     # the direct operator with one index dropped
     def short(n, p):
-        tabs = list(tableaux.index_set_tableaux(n, p).values())[1:]
+        tabs = list(tableaux.index_set(n, p).values())[1:]
         return klr.op_projection(tabs, n, p, "left")
     code, direct, _ = run(capsys, "pjw", "--n", "5", "--p", "3")
     monkeypatch.setattr(klr, "direct_projection_operator", short)

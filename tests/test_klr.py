@@ -946,7 +946,7 @@ def test_recursive_operator_stays_off_the_diagram_layer(monkeypatch):
                          (K, "diagram_words"), (D, "diagram_words"),
                          (P, "jones_wenzl"), (T, "collapse"),
                          (T, "collapse_fiber"), (T, "index_set"),
-                         (T, "index_set_tableaux"), (T, "tableau_from_index")]:
+                         (T, "tableau_from_index")]:
         monkeypatch.setattr(module, name, forbidden)
     # rebuild the cached diamonds and small JM operators under the patches
     K.diamond.cache_clear()

@@ -3,6 +3,8 @@ from math import comb
 import pytest
 
 from tlexact import tableaux as T
+from oracles import (all_standard_tableaux_by_combinations, index_set_by_signs,
+                     standard_tableaux_by_combinations)
 
 
 def test_two_column_partitions():
@@ -23,6 +25,22 @@ def test_standard_tableaux_order_and_extremes():
 def test_tableau_counts():
     for n in range(11):
         assert len(T.all_standard_tableaux(n)) == comb(n, n // 2)
+
+
+def test_ballot_walk_matches_placing_the_twos():
+    for n in range(17):
+        assert T.all_standard_tableaux(n) \
+            == all_standard_tableaux_by_combinations(n), n
+        for shape in T.two_column_partitions(n):
+            assert T.standard_tableaux(shape) \
+                == standard_tableaux_by_combinations(shape), shape
+
+
+def test_no_tableaux_of_negative_size():
+    with pytest.raises(ValueError):
+        T.all_standard_tableaux(-1)
+    with pytest.raises(ValueError):
+        T.standard_tableaux((1, 2))
 
 
 def test_contents():
@@ -69,12 +87,16 @@ def test_residues_and_classes():
 
 
 def test_p_class_matches_grouping_of_all_tableaux():
-    # the residue-pruned search against grouping the whole basis
+    # the residue-pruned walk and the grouping of the whole basis against
+    # the residue sequences of every tableau placed by combinations
     for p in (3, 5, 7):
-        for n in range(1, 11):
-            classes = T.all_p_classes(n, p)
-            assert sum(map(len, classes)) == comb(n, n // 2)
-            for cls in classes:
+        for n in range(13):
+            classes = {}
+            for t in all_standard_tableaux_by_combinations(n):
+                classes.setdefault(T.residue_sequence(t, p), []).append(t)
+            want = sorted(map(tuple, classes.values()))
+            assert T.all_p_classes(n, p) == want, (n, p)
+            for cls in want:
                 for t in cls:
                     assert T.p_class(t, p) == cls, (t, p)
 
@@ -99,6 +121,21 @@ def test_index_set_examples():
     assert sorted(T.index_set(3, 3)) == [1, 3]
     # single digit: n+1 < p
     assert sorted(T.index_set(4, 7)) == [4]
+
+
+def test_base_p_digits():
+    assert T.base_p_digits(13, 3) == (1, 1, 1)
+    assert T.base_p_digits(5, 2) == (1, 0, 1)
+    for value, p in [(5, 1), (5, 0), (5, -3), (0, 3)]:
+        with pytest.raises(ValueError):
+            T.base_p_digits(value, p)
+
+
+def test_index_set_matches_digit_signs():
+    for p in (3, 5, 7, 11, 13):
+        for n in range(1, 400):
+            assert list(T.index_set(n, p).items()) \
+                == list(index_set_by_signs(n, p).items()), (n, p)
 
 
 def test_tableau_from_index():
