@@ -43,10 +43,10 @@ def cabling_comparison(n, p):
 
 
 for (n, p) in [(3, 3), (8, 3), (12, 3), (5, 5), (9, 5)]:
-    ch = T.radix_chain(n, p)
     rec = K.p_jones_wenzl_recursive_operator(n, p)
     direct = K.direct_projection_operator(n, p)
-    print(f"n={n:>2}, p={p}: chain sizes {ch.sizes}, digits {ch.digits}; "
+    print(f"n={n:>2}, p={p}: chain sizes {T.radix_chain(n, p)}, "
+          f"digits {T.base_p_digits(n + 1, p)}; "
           f"recursive == direct: {rec == direct}")
 
 print("\nelement-level comparison where the expansion is small:")

@@ -212,15 +212,14 @@ def _emit_reports(reports, as_json):
 def _class_integrality(n, p):
     for cls in tableaux.all_p_classes(n, p):
         projectors.class_idempotent(cls, p)
-    return [{"check": "class-idempotent-integrality", "n": n, "p": p,
-             "pass": True}]
+    return [klr._report("class-idempotent-integrality", n, p, True)]
 
 
 def _direct_vs_recursive(n, p):
     # in f-basis coordinates, which determine elements of TL_n faithfully
     same = (klr.p_jones_wenzl_recursive_operator(n, p)
             == klr.direct_projection_operator(n, p))
-    return [{"check": "pjw-direct-vs-recursive", "n": n, "p": p, "pass": same}]
+    return [klr._report("pjw-direct-vs-recursive", n, p, same)]
 
 
 # the checks, in the order verify-all runs them: the size range
@@ -244,8 +243,7 @@ def _run_row(name, n, p):
     try:
         return _CHECKS[name][2](n, p)
     except (InvariantError, IntegralityViolationError) as exc:
-        return [{"check": name, "n": n, "p": p, "pass": False,
-                 "counterexample": str(exc)}]
+        return [klr._report(name, n, p, False, str(exc))]
 
 
 def _cmd_check(args):

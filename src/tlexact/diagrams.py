@@ -74,19 +74,11 @@ def identity_pairing(n: int) -> bytes:
 
 
 def generator_pairing(i: int, n: int) -> bytes:
-    """The diagram of the generator u_i: cups (i, i+1) on both edges,
-    through strands elsewhere.  1 <= i < n."""
+    """The diagram of the generator u_i: the cup of TL_2 on strands i and
+    i+1, through strands elsewhere.  1 <= i < n."""
     if not 1 <= i < n:
         raise IndexError(f"generator index {i} out of range for n={n}")
-    p = bytearray(identity_pairing(n))
-
-    def join(a, b):
-        p[a] = b
-        p[b] = a
-
-    join(i - 1, i)                       # northern cup
-    join(2 * n - i, 2 * n - 1 - i)       # southern cup at positions i-1, i
-    return bytes(p)
+    return embed_pairing(b"\x01\x00\x03\x02", i - 1, n - i - 1)
 
 
 def is_noncrossing(pairing) -> bool:

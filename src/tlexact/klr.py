@@ -47,7 +47,7 @@ from math import gcd, lcm
 
 from .coeffs import InvariantError, check_odd_prime, inverse_mod_p
 from . import tableaux
-from .tableaux import Tableau
+from .tableaux import Tableau, n2_of
 from .diagrams import TLElement, diagram_words, jucys_murphy, linear_combination
 from . import projectors
 from .projectors import seminormal_idempotent
@@ -547,14 +547,6 @@ def truncation_idempotent(n: int, p: int, side: str) -> SeminormalOperator:
     return op_projection(tableaux.class_of_one_column(n, p), n, p, side)
 
 
-def n2_of(n: int, p: int) -> int:
-    """The strand count (n - (p-1)) // p of the algebra included into TL_n:
-    the next size down the radix chain, for n >= p - 1."""
-    if n < check_odd_prime(p) - 1:
-        raise ValueError(f"need n >= p - 1, got n={n}, p={p}")
-    return (n - p + 1) // p
-
-
 @lru_cache(maxsize=None)
 def diamond(i: int, n: int, p: int, side: str) -> SeminormalOperator:
     """The i-th diamond: e psi_(w1) ... psi_(wL) e over the block-swap
@@ -586,6 +578,7 @@ def diamond(i: int, n: int, p: int, side: str) -> SeminormalOperator:
 def x_factor(rho: int, p: int) -> Fraction:
     """The diamond exchange coefficient: the product of the p-1 integers
     below (rho+1)p divided by the product of the p-1 integers below rho*p."""
+    check_odd_prime(p)
     if rho < 1:
         raise ValueError("rho must be >= 1")
     num = 1
@@ -739,10 +732,8 @@ def f_basis_element(s: Tableau, t: Tableau) -> TLElement:
     return out
 
 
-@lru_cache(maxsize=None)
-def f_norm(t: Tableau) -> Fraction:
-    """gamma'_t with f_(t,t) = gamma'_t E'_t: gamma_t, by the frame products."""
-    return projectors.gamma(t)
+# gamma'_t with f_(t,t) = gamma'_t E'_t: the frame products give gamma_t
+f_norm = projectors.gamma
 
 
 def operator_to_element(X: SeminormalOperator) -> TLElement:
@@ -815,7 +806,7 @@ def p_jones_wenzl_recursive_operator(n: int, p: int) -> SeminormalOperator:
     check_odd_prime(p)
     if n < p:
         raise ValueError("the recursive construction needs n >= p")
-    sizes = tableaux.radix_chain(n, p).sizes
+    sizes = tableaux.radix_chain(n, p)
     kept = [tableaux.one_column_tableau(sizes[-1])]
     for m in sizes[-2::-1]:
         jms = _small_jms(m, p, "left")[:n2_of(m, p)]

@@ -292,12 +292,11 @@ def class_idempotent(cls, p: int, ring: str = "Q") -> TLElement:
     be p-integral (localized at p), and with ring="Fp" the reduction mod p
     is returned."""
     check_odd_prime(p)
-    cls = sorted(tuple(s) for s in cls)
-    n = len(cls[0])
-    expected = tableaux.p_class(cls[0], p)
-    if tuple(cls) != tuple(expected):
+    cls = tuple(sorted(tuple(s) for s in cls))
+    if not cls or cls != tableaux.p_class(cls[0], p):
         raise ValueError("input is not a full p-class")
-    out = linear_combination(((1, seminormal_idempotent(s)) for s in cls), n)
+    out = linear_combination(((1, seminormal_idempotent(s)) for s in cls),
+                             len(cls[0]))
     return out.in_ring(ring, p)
 
 

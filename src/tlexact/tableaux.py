@@ -16,7 +16,8 @@ residue sequences, p-classes, block decompositions D_1 M_1 ... D_k M_k, the
 base-p index set attached to n+1 (with the tableau of each element), the
 collapse bijections from the p-class of the one-column tableau onto
 smaller tableaux, and the base-p radix chain n -> n_2 -> n_2' -> ... used
-by the recursive constructions.
+by the recursive constructions.  The one rule n_2 = (n - (p-1)) // p is
+n2_of; radix_chain returns the sizes of its iteration.
 
 Dominance on tableaux compares the shapes of all restrictions; it is a
 partial order.  Where a total enumeration order is needed we refine it
@@ -179,6 +180,8 @@ def p_class(t: Tableau, p: int) -> tuple:
     """All two-column standard tableaux with the same residue sequence as
     t, sorted lexicographically.  Always contains t.  A residue-pruned
     search; all_p_classes groups the whole basis instead."""
+    if not is_standard(t):
+        raise ValueError(f"{t} is not a standard tableau")
     return _ballot_walk(len(t), residue_sequence(t, p), p)
 
 
@@ -211,17 +214,6 @@ class BlockDecomposition(NamedTuple):
 
     runs: tuple
     n_values: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.runs)
-
-    def to_tableau(self) -> Tableau:
-        out = []
-        for d, m in self.runs:
-            out.extend([1] * d)
-            out.extend([2] * m)
-        return tuple(out)
 
 
 def block_decomposition(t: Tableau) -> BlockDecomposition:
@@ -311,39 +303,29 @@ def tableau_from_index(m: int, n: int, p: int) -> Tableau:
 # the radix chain and the collapse maps
 
 
-class RadixChain(NamedTuple):
-    """The ladder of integer divisions below n:  at each level,
-    n = (p-1) + n1 and n1 = p*n2 + r, and the next level starts at n2.
-    Writing n+1 in base p as digits (a_k, ..., a_0), level i satisfies
-    r_i = a_i and n2_i + 1 = a_k p^(k-i-1) + ... + a_(i+1); the ladder
-    bottoms out at n2_(k-1) = a_k - 1.  For n < p there are no levels."""
-
-    n: int
-    p: int
-    digits: tuple
-    levels: tuple  # tuples (n_i, n1_i, n2_i, r_i)
-
-    @property
-    def sizes(self) -> tuple:
-        """(n, n2_0, n2_1, ..., n2_(k-1)) -- the algebra sizes of the chain."""
-        return (self.n,) + tuple(level[2] for level in self.levels)
+def n2_of(n: int, p: int) -> int:
+    """The strand count (n - (p-1)) // p of the algebra included into TL_n:
+    the next size down the radix chain, for n >= p - 1."""
+    if n < check_odd_prime(p) - 1:
+        raise ValueError(f"need n >= p - 1, got n={n}, p={p}")
+    return (n - p + 1) // p
 
 
-def radix_chain(n: int, p: int) -> RadixChain:
+def radix_chain(n: int, p: int) -> tuple:
+    """The sizes (n, n2_0, ..., n2_(k-1)) of the radix chain below n: each
+    size is n2_of of the one before.  Writing n+1 in base p as digits
+    (a_k, ..., a_0), level i leaves the remainder a_i and the chain
+    bottoms out at a_k - 1.  For n < p there are no levels."""
     check_odd_prime(p)
     digits = base_p_digits(n + 1, p)
     k = len(digits) - 1 if n >= p else 0
-    levels = []
-    cur = n
-    for i in range(k):
-        n1 = cur - (p - 1)
-        n2, r = divmod(n1, p)
-        levels.append((cur, n1, n2, r))
-        cur = n2
-    if [lv[3] for lv in levels] != [digits[k - i] for i in range(k)] \
-            or (k and cur != digits[0] - 1):
+    sizes = [n]
+    for _ in range(k):
+        sizes.append(n2_of(sizes[-1], p))
+    if [m - p + 1 - p * n2 for m, n2 in zip(sizes, sizes[1:])] \
+            != [digits[k - i] for i in range(k)] or (k and sizes[-1] != digits[0] - 1):
         raise InvariantError(f"radix chain of n={n} disagrees with digits {digits}")
-    return RadixChain(n, p, digits, tuple(levels))
+    return tuple(sizes)
 
 
 def _class_blocks(t: Tableau, p: int):
@@ -384,9 +366,13 @@ def collapse(t: Tableau, p: int):
 
 def collapse_fiber(s: Tableau, n: int, p: int) -> tuple:
     """All members t of the p-class of the one-column tableau of size n
-    with collapse(t, p)[0] == s, sorted; s has size n2."""
-    out = [t for t in class_of_one_column(n, p) if collapse(t, p)[0] == s]
-    return tuple(out)
+    with collapse(t, p)[0] == s, sorted; s is a standard tableau of size
+    n2 = n2_of(n, p)."""
+    n2 = n2_of(n, p)
+    if len(s) != n2 or not is_standard(s):
+        raise ValueError(f"{s} is not a standard tableau of size "
+                         f"n2_of(n, p) = {n2}")
+    return tuple(t for t in class_of_one_column(n, p) if collapse(t, p)[0] == s)
 
 
 def apply_block_swap(t: Tableau, i: int, p: int):

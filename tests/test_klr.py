@@ -478,6 +478,9 @@ def test_x_factor():
     assert K.x_factor(1, 3) == 10
     assert K.x_factor(2, 3) == Fraction(14, 5)
     assert K.x_factor(1, 5) == 126
+    for p in (2, 4, 9):
+        with pytest.raises(InvalidPrimeError):
+            K.x_factor(1, p)
 
 
 def test_block_swap_word():
@@ -1015,7 +1018,7 @@ def test_n2_of_from_the_bottom_of_the_chain():
         with pytest.raises(IndexError):
             K.diamond(1, p - 1, p, "left")
         for n in range(p, 60):
-            assert K.n2_of(n, p) == T.radix_chain(n, p).sizes[1], (n, p)
+            assert K.n2_of(n, p) == T.radix_chain(n, p)[1], (n, p)
 
 
 def test_iota_klr_sends_the_unit_of_tl_0_to_e():

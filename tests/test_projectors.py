@@ -277,6 +277,11 @@ def test_class_idempotent_examples():
         P.class_idempotent([(1, 1, 1)], 3)  # not a full class
 
 
+def test_class_idempotent_of_no_tableaux():
+    with pytest.raises(ValueError, match="not a full p-class"):
+        P.class_idempotent([], 3)
+
+
 def test_class_idempotents_are_idempotent_mod_p():
     for (n, p) in [(3, 3), (4, 3), (5, 3), (4, 5), (5, 5), (6, 5)]:
         for cls in T.all_p_classes(n, p):

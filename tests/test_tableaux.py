@@ -86,6 +86,13 @@ def test_residues_and_classes():
     assert T.p_class((1, 1, 2), 7) == ((1, 1, 2),)
 
 
+def test_p_class_rejects_a_non_tableau():
+    # (2, 1, 1) opens with column 2; (1, 3) has a column other than 1 and 2
+    for t in ((2, 1, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            T.p_class(t, 3)
+
+
 def test_p_class_matches_grouping_of_all_tableaux():
     # the residue-pruned walk and the grouping of the whole basis against
     # the residue sequences of every tableau placed by combinations
@@ -101,11 +108,16 @@ def test_p_class_matches_grouping_of_all_tableaux():
                     assert T.p_class(t, p) == cls, (t, p)
 
 
+def _from_runs(runs):
+    return tuple(c for d, m in runs for c in (1,) * d + (2,) * m)
+
+
 def test_block_decomposition_examples():
     bd = T.block_decomposition((1, 1, 2))
     assert bd.runs == ((2, 1),) and bd.n_values == (2,)
     bd = T.block_decomposition(T.one_column_tableau(6))
-    assert bd.runs == ((6, 0),) and bd.k == 1
+    assert bd.runs == ((6, 0),)
+    assert _from_runs(bd.runs) == T.one_column_tableau(6)
     bd = T.block_decomposition((1, 1, 2, 1, 1))
     assert bd.runs == ((2, 1), (2, 0)) and bd.n_values == (2, 3)
 
@@ -113,7 +125,7 @@ def test_block_decomposition_examples():
 def test_block_round_trip():
     for n in range(11):
         for t in T.all_standard_tableaux(n):
-            assert T.block_decomposition(t).to_tableau() == t
+            assert _from_runs(T.block_decomposition(t).runs) == t
 
 
 def test_index_set_examples():
@@ -162,6 +174,15 @@ def test_collapse_examples():
         T.collapse((1, 2, 1), 3)
 
 
+def test_collapse_fiber_rejects_a_wrong_tableau():
+    assert T.collapse_fiber((1, 1), 8, 3) == ((1,) * 8,)
+    assert T.collapse_fiber((1, 2), 8, 3) == ((1,) * 5 + (2,) * 3,)
+    # n2_of(8, 3) = 2: a tableau of size 5 or a non-standard one has no fiber
+    for s in ((1, 1, 1, 1, 1), (2, 1), (1, 3)):
+        with pytest.raises(ValueError, match="n2_of"):
+            T.collapse_fiber(s, 8, 3)
+
+
 def test_collapse_is_a_bijection():
     for p in (3, 5):
         for n in range(p, 13):
@@ -179,35 +200,36 @@ def test_collapse_is_a_bijection():
                 assert set(images) == expected
 
 
+def _remainders(sizes, p):
+    # level i: n_i = (p-1) + n1_i and n1_i = p * n2_i + r_i
+    return [m - (p - 1) - p * n2 for m, n2 in zip(sizes, sizes[1:])]
+
+
 def test_radix_chain():
-    ch = T.radix_chain(12, 3)
-    assert ch.digits == (1, 1, 1)
-    assert [(l[2], l[3]) for l in ch.levels] == [(3, 1), (0, 1)]
-    assert ch.sizes == (12, 3, 0)
-    ch = T.radix_chain(14, 3)
-    assert ch.digits == (1, 2, 0)
-    assert [(l[2], l[3]) for l in ch.levels] == [(4, 0), (0, 2)]
-    ch = T.radix_chain(3, 3)
-    assert ch.digits == (1, 1) and [(l[2], l[3]) for l in ch.levels] == [(0, 1)]
-    ch = T.radix_chain(2, 3)
-    assert ch.levels == () and ch.digits == (1, 0)
+    assert T.base_p_digits(13, 3) == (1, 1, 1)
+    assert T.radix_chain(12, 3) == (12, 3, 0)
+    assert _remainders((12, 3, 0), 3) == [1, 1]
+    assert T.base_p_digits(15, 3) == (1, 2, 0)
+    assert T.radix_chain(14, 3) == (14, 4, 0)
+    assert _remainders((14, 4, 0), 3) == [0, 2]
+    assert T.radix_chain(3, 3) == (3, 0) and _remainders((3, 0), 3) == [1]
+    assert T.radix_chain(2, 3) == (2,) and T.base_p_digits(3, 3) == (1, 0)
 
 
 def test_radix_chain_digit_identities():
     # r_i = a_i and n2_i + 1 = sum of truncated higher digits, at every level
     for p in (3, 5, 7):
         for n in range(p, 60):
-            ch = T.radix_chain(n, p)
-            digits = ch.digits
+            sizes = T.radix_chain(n, p)
+            digits = T.base_p_digits(n + 1, p)
             k = len(digits) - 1
-            for i, (ni, n1i, n2i, ri) in enumerate(ch.levels):
-                assert ni == n1i + (p - 1)
-                assert n1i == p * n2i + ri
+            assert len(sizes) == k + 1
+            for i, (ri, n2i) in enumerate(zip(_remainders(sizes, p), sizes[1:])):
+                assert n2i == T.n2_of(sizes[i], p)
                 assert ri == digits[k - i]
                 assert n2i + 1 == sum(
                     digits[j] * p ** (k - i - 1 - j) for j in range(k - i))
-            if ch.levels:
-                assert ch.levels[-1][2] == digits[0] - 1
+            assert sizes[-1] == digits[0] - 1
 
 
 def test_block_swap():
