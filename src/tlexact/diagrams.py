@@ -115,10 +115,28 @@ def all_matchings(n: int) -> list:
     return sorted(out)
 
 
+@lru_cache(maxsize=None)
+def _flip(size: int) -> bytes:
+    """The translate table of x -> size-1-x."""
+    return bytes(range(size - 1, -1, -1)).ljust(256, b"\0")
+
+
 def star_pairing(pairing: bytes) -> bytes:
     """Reflection: x <-> y becomes 2n-1-x <-> 2n-1-y."""
-    flip = bytes(range(len(pairing) - 1, -1, -1)).ljust(256, b"\0")
-    return pairing[::-1].translate(flip)
+    return pairing[::-1].translate(_flip(len(pairing)))
+
+
+@lru_cache(maxsize=None)
+def _embed_tables(n: int, left: int, right: int) -> tuple:
+    """The translate table of an n-strand diagram's labels into
+    TL_(left+n+right), and the partner labels of the added through strands
+    that go before, between and after the diagram's two relabelled halves."""
+    m = left + n + right
+    relabel = (bytes(range(left, left + n)) + bytes(range(m + right, m + right + n))
+               ).ljust(256, b"\0")
+    return (relabel, bytes(range(2 * m - 1, 2 * m - 1 - left, -1)),
+            bytes(range(2 * m - 1 - left - n, m - 1 - right, -1)),
+            bytes(range(left - 1, -1, -1)))
 
 
 def embed_pairing(d: bytes, left: int, right: int) -> bytes:
@@ -127,15 +145,8 @@ def embed_pairing(d: bytes, left: int, right: int) -> bytes:
     inclusion TL_(n-1) -> TL_n; on a padded frame, (0, k) appends k fresh
     strands at its right edge."""
     n = len(d) // 2
-    m = left + n + right
-    relabel = (bytes(range(left, left + n)) + bytes(range(m + right, m + right + n))
-               ).ljust(256, b"\0")
-    return (bytes(range(2 * m - 1, 2 * m - 1 - left, -1))
-            + d[:n].translate(relabel)
-            + bytes(range(2 * m - 1 - left - n, m - 1, -1))
-            + bytes(range(m - 1, m - 1 - right, -1))
-            + d[n:].translate(relabel)
-            + bytes(range(left - 1, -1, -1)))
+    relabel, west, middle, east = _embed_tables(n, left, right)
+    return west + d[:n].translate(relabel) + middle + d[n:].translate(relabel) + east
 
 
 def compose_pairings(top: bytes, bot: bytes, n: int):
@@ -741,12 +752,18 @@ def element_to_str(e: TLElement) -> str:
 # (n-S)/2 loops.
 
 
+@lru_cache(maxsize=None)
+def _cups(start: int, end: int) -> bytes:
+    """Adjacent cups x <-> x^1 on the labels start..end-1."""
+    return bytes(x ^ 1 for x in range(start, end))
+
+
 def pad(frame) -> bytes:
     """The TL_n diagram of a frame with n bottoms and S <= n tops."""
     pairing, n = frame
     if not n <= len(pairing) <= 2 * n or len(pairing) % 2:
         raise ValueError("a frame pads to TL_n only with S <= n tops, n-S even")
-    return pairing + bytes(x ^ 1 for x in range(len(pairing), 2 * n))
+    return pairing + _cups(len(pairing), 2 * n)
 
 
 def frame_stack(frame, diagram: bytes):
@@ -896,10 +913,16 @@ def cell_action(v: CellVector, a: TLElement) -> CellVector:
     a* (sum of c_t pad(half_diagram(t))), read back with cell_coords.
     Concatenating a half diagram on top of a diagram can join two through
     strands into a top arc; such terms are dropped."""
+    return _cell_image(v, a.star())
+
+
+def _cell_image(v: CellVector, a_star: TLElement) -> CellVector:
+    """cell_action(v, a) from a_star = a.star(), so a caller acting with
+    one element on many vectors reflects it once."""
     l1, l2 = v.shape
-    if l1 + l2 != a.n:
+    if l1 + l2 != a_star.n:
         raise ValueError("strand count mismatch")
-    if a.ring != "Q":
+    if a_star.ring != "Q":
         raise ValueError("cell modules are implemented over Q")
-    h = TLElement(a.n, {pad(half_diagram(t)): c for t, c in v.coords.items()})
-    return CellVector(v.shape, cell_coords((a.star() * h).terms, v.shape))
+    h = TLElement(a_star.n, {pad(half_diagram(t)): c for t, c in v.coords.items()})
+    return CellVector(v.shape, cell_coords((a_star * h).terms, v.shape))

@@ -48,7 +48,8 @@ from math import gcd, lcm
 from .coeffs import InvariantError, check_odd_prime, inverse_mod_p
 from . import tableaux
 from .tableaux import Tableau, n2_of
-from .diagrams import TLElement, diagram_words, jucys_murphy, linear_combination
+from .diagrams import (TLElement, _cell_image, diagram_words, jucys_murphy,
+                       linear_combination)
 from . import projectors
 from .projectors import seminormal_idempotent
 
@@ -432,14 +433,19 @@ def klr_relations_check(n: int, p: int) -> list:
 
         # e(i) e(j) = delta e(i) on each index s: e(j) acts first on the
         # left, e(i) on the right; an image that is already zero gives
-        # zero on both sides of the relation
+        # zero on both sides of the relation.  rows_in[t] lists the blocks
+        # whose projection has a row at t; e(b) maps img to zero unless b
+        # has a row at one of img's indices, so only those b and a itself
+        # are evaluated
+        rows_in = {}
+        for a in seqs:
+            for t in E[a].action:
+                rows_in.setdefault(t, []).append(a)
         bad = set()
         for s in basis:
-            for a in seqs:
-                img = E[a].action.get(s)
-                if not img:
-                    continue
-                for b in seqs:
+            for a in rows_in.get(s, ()):
+                img = E[a].action[s]
+                for b in {a}.union(*(rows_in.get(t, ()) for t in img)):
                     want = {t: c * E[b].den for t, c in img.items()} if a == b else {}
                     if E[b]._push(img) != want:
                         bad.add((b, a) if side == "left" else (a, b))
@@ -776,17 +782,17 @@ def operator_from_element_via_cells(a: TLElement, p: int,
     by the triangular change of basis to the seminormal vectors.  Fully
     independent of the combinatorial generator rules, so it serves as a
     cross-check of the whole operator calculus.  The left action of a is
-    the right action of its star reflection."""
-    from .diagrams import cell_action
-
-    elem = a if side == "right" else a.star()
-    n = elem.n
+    the right action of its star reflection; the cell images are read off
+    the reflected element, which is a itself for the left action and
+    a.star(), made once, for the right."""
+    a_star = a.star() if side == "right" else a
+    n = a.n
     action = {}
     for lam in tableaux.two_column_partitions(n):
         tabs = tableaux.standard_tableaux(lam)  # ascending, lex extends dominance
         fvecs = {t: projectors.seminormal_vector(t) for t in tabs}
         for t in tabs:
-            img = cell_action(fvecs[t], elem)
+            img = _cell_image(fvecs[t], a_star)
             coords = _express_in_seminormal_basis(img, fvecs, tabs)
             if coords:
                 action[t] = coords

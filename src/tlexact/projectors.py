@@ -43,7 +43,7 @@ from functools import lru_cache
 from .coeffs import IntegralityViolationError, check_odd_prime  # the error is re-exported
 from . import tableaux
 from .tableaux import Tableau
-from .diagrams import (CellVector, TLElement, cell_coords, identity_pairing,
+from .diagrams import (CellVector, TLElement, _cups, cell_coords, identity_pairing,
                        jm_element, linear_combination)
 
 
@@ -209,7 +209,7 @@ def _frame_expansion(t: Tableau) -> TLElement:
         f = f.embed(0, d)
         f = f * _default_cache.get(nv).star().embed(f.n - nv, 0)
         # bend the m rightmost tops down: m more padding cups
-        cups = bytes(x ^ 1 for x in range(2 * f.n, 2 * (f.n + m)))
+        cups = _cups(2 * f.n, 2 * (f.n + m))
         f = f._raw({fr + cups: c for fr, c in f.num.items()}, f.den, f.n + m)
     return f
 

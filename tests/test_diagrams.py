@@ -192,6 +192,47 @@ def test_embed_is_a_homomorphism():
     assert TLElement.generator(1, 2).embed(1, 2) == TLElement.generator(2, 5)
 
 
+def _embed_reference(d, left, right):
+    # point by point: d's northern point j goes to left + j, its southern
+    # label n + k (k-th from the right) to m + right + k, and every other
+    # northern point j is a through strand to southern label 2m-1-j
+    n = len(d) // 2
+    m = left + n + right
+    out = {}
+    for x, y in enumerate(d):
+        out[left + x if x < n else m + right + x - n] = left + y if y < n else m + right + y - n
+    for j in (*range(left), *range(left + n, m)):
+        out[j], out[2 * m - 1 - j] = 2 * m - 1 - j, j
+    return bytes(out[x] for x in range(2 * m))
+
+
+def test_relabel_tables_match_the_definitions():
+    for n in range(8):
+        last = 2 * n - 1
+        for d in D.all_matchings(n):
+            assert star_pairing(d) == bytes(last - d[last - x] for x in range(2 * n)), d
+            assert pad((d, n)) == d
+            for left in range(3):
+                for right in range(3):
+                    assert D.embed_pairing(d, left, right) \
+                        == _embed_reference(d, left, right), (d, left, right)
+        for t in T.all_standard_tableaux(n):
+            frame, _ = half_diagram(t)
+            assert pad((frame, n)) == bytes(frame[x] if x < len(frame) else x ^ 1
+                                            for x in range(2 * n)), t
+
+
+def test_star_and_embed_keep_term_order():
+    rng = random.Random(26)
+    ds = D.all_matchings(5)
+    rng.shuffle(ds)
+    a = TLElement(5, {d: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+                      for d in ds[:20]})
+    assert list(a.star().num.items()) == [(star_pairing(d), c) for d, c in a.num.items()]
+    assert list(a.embed(2, 1).num.items()) \
+        == [(D.embed_pairing(d, 2, 1), c) for d, c in a.num.items()]
+
+
 def test_frame_gluings():
     h3, h4 = D.half_diagram((1, 1, 2)), D.half_diagram((1, 1, 1, 1))
     assert D.stack_under(h3, D.generator_pairing(1, 3)) \

@@ -390,9 +390,11 @@ def test_first_failures_follow_the_reference_order(monkeypatch, side):
 
 
 def test_e_relations_detect_planted_projection_entries(monkeypatch):
-    # off-block entries planted in two block projections (both suites build
-    # e(i) with op_projection): the per-index e-checks fail on both sides
-    # with the reference's first failing (i, j)
+    # entries planted in block projections (both suites build e(i) with
+    # op_projection): off-block entries in two existing rows, or a new row
+    # at an index outside the block, which only the projection's own rows
+    # can show.  The per-index e-checks fail on both sides with the
+    # reference's first failing (i, j)
     n, p = 6, 3
     basis = T.all_standard_tableaux(n)
     plants = {basis[9]: basis[0], basis[5]: basis[2]}
@@ -400,24 +402,32 @@ def test_e_relations_detect_planted_projection_entries(monkeypatch):
                for s, t in plants.items())
     real = K.op_projection
 
-    def planted(tabs, nn, pp, side):
-        op = real(tabs, nn, pp, side)
-        if len(op.action) == len(T.all_standard_tableaux(nn)):
-            return op  # the identity stays
-        table = {s: op.apply_index(s) for s in op.action}
+    def off_block_entries(table):
         for s, t in plants.items():
             if s in table:
                 table[s][t] = Fraction(1)
-        return K.SeminormalOperator(nn, pp, side, table)
 
-    monkeypatch.setattr(K, "op_projection", planted)
-    got = [r for r in K.klr_relations_check(n, p) if r["check"].startswith("e-")]
-    want = [r for r in reference_relations_check(n, p)
-            if r["check"].startswith("e-")]
-    assert got == want
-    failed = {r["check"] for r in got if not r["pass"]}
-    assert failed == {f"e-{c} [{side}]" for c in ("orthogonality", "completeness")
-                      for side in ("left", "right")}
+    def new_row(table):
+        if basis[0] in table:
+            table[basis[9]] = {basis[9]: Fraction(1)}
+
+    for plant in (off_block_entries, new_row):
+        def planted(tabs, nn, pp, side):
+            op = real(tabs, nn, pp, side)
+            if len(op.action) == len(T.all_standard_tableaux(nn)):
+                return op  # the identity stays
+            table = {s: op.apply_index(s) for s in op.action}
+            plant(table)
+            return K.SeminormalOperator(nn, pp, side, table)
+
+        monkeypatch.setattr(K, "op_projection", planted)
+        got = [r for r in K.klr_relations_check(n, p) if r["check"].startswith("e-")]
+        want = [r for r in reference_relations_check(n, p)
+                if r["check"].startswith("e-")]
+        assert got == want, plant.__name__
+        failed = {r["check"] for r in got if not r["pass"]}
+        assert failed == {f"e-{c} [{side}]" for c in ("orthogonality", "completeness")
+                          for side in ("left", "right")}, plant.__name__
 
 
 def test_bimodule_consistency():
@@ -994,6 +1004,34 @@ def test_cell_route_cross_validation():
         for side in ("left", "right"):
             assert K.operator_from_element_via_cells(e_elem, p, side) \
                 == K.truncation_idempotent(n, p, side)
+
+
+def test_via_cells_stars_each_element_once(monkeypatch):
+    # a left action reads the cell images off a itself, a right action off
+    # one reflection of a: at most one TLElement.star per call.  The
+    # seminormal vectors (whose frame expansions reflect JW boxes) are made
+    # first, so only the route's own reflections are counted
+    real = TLElement.star
+    calls = []
+
+    def counting(self):
+        calls.append(self.n)
+        return real(self)
+
+    for (n, p) in [(7, 3), (6, 5)]:
+        pjw = P.p_jones_wenzl_direct(n, p)
+        fvecs = {t: P.seminormal_vector(t) for t in T.all_standard_tableaux(n)}
+        monkeypatch.setattr(P, "seminormal_vector", fvecs.__getitem__)
+        want = K.direct_projection_operator(n, p)
+        # p-JW is a sum of seminormal idempotents, so it acts on the right
+        # as the projection onto the same indices
+        want_right = K.op_projection(want.action, n, p, "right")
+        monkeypatch.setattr(TLElement, "star", counting)
+        for side, op in (("left", want), ("right", want_right)):
+            calls.clear()
+            assert K.operator_from_element_via_cells(pjw, p, side) == op, (n, p, side)
+            assert len(calls) <= 1, (n, p, side, len(calls))
+        monkeypatch.undo()
 
 
 def test_diamond_element_cross_stack():
