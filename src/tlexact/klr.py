@@ -263,9 +263,9 @@ def _psi_images(s: Tableau, k: int, p: int, side: str) -> dict:
     the beta (left) or beta-tilde (right) coefficient on s*s_k (module
     docstring), plus the -1/r diagonal term when the residues at k, k+1
     agree.  The caller has checked that p is an odd prime."""
-    cont = tableaux.contents(s)
-    r = cont[k - 1] - cont[k]
-    ik, ik1 = cont[k - 1] % p, cont[k] % p
+    a, b = tableaux.content(s, k), tableaux.content(s, k + 1)
+    r = a - b
+    ik, ik1 = a % p, b % p
     alpha = _alpha(s[k - 1] == 2, r)
     out = {}
     if alpha:
@@ -547,38 +547,29 @@ def block_swap_word(i: int, p: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def truncation_idempotent(n: int, p: int, side: str) -> SeminormalOperator:
+def truncation_idempotent(n: int, p: int, side: str, /) -> SeminormalOperator:
     """e: the class idempotent of the one-column tableau, acting as the
     projection onto indices with decreasing residue sequence (the class)."""
     return op_projection(tableaux.class_of_one_column(n, p), n, p, side)
 
 
 @lru_cache(maxsize=None)
-def diamond(i: int, n: int, p: int, side: str) -> SeminormalOperator:
-    """The i-th diamond: e psi_(w1) ... psi_(wL) e over the block-swap
-    word, truncated by the class idempotent on both sides.  Each member of
-    the one-column p-class is pushed sparsely through the word (the left
-    side applies its last letter first) and off-class terms are dropped at
-    the end, so the cost follows the class size, not C(n, n/2)."""
+def diamond(i: int, n: int, p: int, side: str, /) -> SeminormalOperator:
+    """The i-th diamond: the operator word e psi_(w1) ... psi_(wL) e over
+    the palindromic block-swap word, so both sides apply the letters in
+    the same order.  Each letter is built only on the indices that the
+    product so far reaches from the one-column p-class, so the cost
+    follows the class size, not C(n, n/2)."""
     n2 = n2_of(n, p)
     if not 1 <= i <= n2 - 1:
         raise IndexError(f"diamond index {i} out of range 1..{n2 - 1}")
-    cls = tableaux.class_of_one_column(n, p)
-    word = block_swap_word(i, p)
-    if side == "left":
-        word = word[::-1]
-    keep = set(cls)
-    action = {}
-    for s in cls:
-        vec = {s: Fraction(1)}
-        for k in word:
-            out = {}
-            for t, c in vec.items():
-                for u, c2 in _psi_images(t, k, p, side).items():
-                    out[u] = out[u] + c * c2 if u in out else c * c2
-            vec = {u: c for u, c in out.items() if c}
-        action[s] = {t: c for t, c in vec.items() if t in keep}
-    return SeminormalOperator(n, p, side, action)
+    out = e = truncation_idempotent(n, p, side)
+    for k in block_swap_word(i, p):
+        reach = {t for row in out.action.values() for t in row}
+        psi = SeminormalOperator(n, p, side, {t: _psi_images(t, k, p, side)
+                                              for t in reach})
+        out = psi * out if side == "left" else out * psi
+    return e * out if side == "left" else out * e
 
 
 def x_factor(rho: int, p: int) -> Fraction:
@@ -649,11 +640,11 @@ def diamond_formula_check(n: int, p: int) -> list:
                     su = tableaux.apply_block_swap(sd, i, p)
                     if su is None or tableaux.dominance_compare(sd, su) != "less":
                         continue
-                    vd, vu = dia.apply_index(sd), dia.apply_index(su)
-                    m = [[vd.get(sd, 0), vu.get(sd, 0)], [vd.get(su, 0), vu.get(su, 0)]]
-                    sq = [[sum(m[a][c] * m[c][b] for c in (0, 1)) for b in (0, 1)]
-                          for a in (0, 1)]
-                    if sq != [[2 * m[a][b] for b in (0, 1)] for a in (0, 1)]:
+                    # a product pushes the rows of the factor that acts
+                    # first, so pr acts first and the cost stays per block
+                    pr = op_projection((sd, su), n, p, side)
+                    m = pr * (dia * pr) if side == "left" else pr * dia * pr
+                    if m * m != m.scale(2):
                         yield (i, sd, su)
         report("diamond-2x2-idempotent", next(non_idempotent_blocks(), None))
 
@@ -683,8 +674,9 @@ def iota_klr(x: TLElement, n: int, p: int) -> SeminormalOperator:
     n2 = n2_of(n, p)
     if x.n != n2:
         raise ValueError(f"element lives in TL_{x.n}, expected TL_{n2}")
-    if x.ring == "Fp":
-        raise ValueError("iota_klr takes an element over Q or Z_(p), not over F_p")
+    if x.ring == "Fp" or x.p not in (None, p):
+        raise ValueError(f"iota_klr takes an element over Q or Z_({p}), not "
+                         f"over F_p or Z_(q) with q != {p}")
     e = truncation_idempotent(n, p, "left")
     words = diagram_words(n2)
     out = op_zero(n, p, "left")
@@ -757,20 +749,12 @@ def _express_in_seminormal_basis(img, fvecs, tabs_asc):
     f_t has unit coefficient on C_t and support only on tableaux above t
     in dominance (hence lexicographically), so scanning upward isolates
     one coefficient at a time."""
-    residual = dict(img.coords)
     coords = {}
     for t in tabs_asc:
-        c = residual.get(t)
-        if not c:
-            continue
-        coords[t] = c
-        for u, v in fvecs[t].coords.items():
-            new = residual.get(u, Fraction(0)) - c * v
-            if new:
-                residual[u] = new
-            else:
-                residual.pop(u, None)
-    if residual:
+        if c := img.coords.get(t):
+            coords[t] = c
+            img = img - fvecs[t].scale(c)
+    if not img.is_zero():
         raise InvariantError("the image leaves the span of the seminormal vectors")
     return coords
 
@@ -820,8 +804,8 @@ def p_jones_wenzl_recursive_operator(n: int, p: int) -> SeminormalOperator:
             raise InvariantError(f"the small JM operators at n={m}, p={p} "
                                  "are not diagonal")
         want = {tableaux.contents(s) for s in kept}
-        kept = [u for u in tableaux.class_of_one_column(m, p) if tuple(
-            Fraction(op.action.get(u, {}).get(u, 0), op.den) for op in jms) in want]
+        kept = [u for u in tableaux.class_of_one_column(m, p)
+                if tuple(op.apply_index(u).get(u, 0) for op in jms) in want]
     return op_projection(kept, n, p, "left")
 
 

@@ -201,13 +201,13 @@ def _frame_expansion(t: Tableau) -> TLElement:
     """Expand the nested-projector picture of f_t as a combination of
     padded frames in TL_n (n bottom and l1-l2 top points, top arcs
     included: those terms vanish in the cell module but contribute to the
-    idempotent).  Each stage is one product with the reflected JW box on
-    the rightmost strands."""
+    idempotent).  Each stage is one product with the JW box on the
+    rightmost strands (JW is its own reflection)."""
     bd = tableaux.block_decomposition(t)
     f = TLElement.one(0)
     for (d, m), nv in zip(bd.runs, bd.n_values):
         f = f.embed(0, d)
-        f = f * _default_cache.get(nv).star().embed(f.n - nv, 0)
+        f = f * _default_cache.get(nv).embed(f.n - nv, 0)
         # bend the m rightmost tops down: m more padding cups
         cups = _cups(2 * f.n, 2 * (f.n + m))
         f = f._raw({fr + cups: c for fr, c in f.num.items()}, f.den, f.n + m)

@@ -118,10 +118,10 @@ def one_column_tableau(n: int) -> Tableau:
 
 
 def content(t: Tableau, i: int) -> int:
-    """Content c - r of the cell holding entry i (column c, row r)."""
+    """Content c - r of entry i, the r-th of t[:i] to lie in column c."""
     if not 1 <= i <= len(t):
         raise IndexError(f"entry {i} out of range 1..{len(t)}")
-    return contents(t)[i - 1]
+    return t[i - 1] - t[:i].count(t[i - 1])
 
 
 def contents(t: Tableau) -> tuple:

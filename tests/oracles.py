@@ -2,9 +2,12 @@
 package so that it holds what its own routes use."""
 
 import itertools
+from fractions import Fraction
 
+from tlexact import tableaux
 from tlexact.coeffs import InvariantError, check_odd_prime
-from tlexact.tableaux import (Tableau, base_p_digits, is_standard,
+from tlexact.klr import SeminormalOperator, _psi_images, block_swap_word
+from tlexact.tableaux import (Tableau, base_p_digits, is_standard, n2_of,
                               two_column_partitions)
 
 
@@ -112,3 +115,29 @@ def tableau_from_signs(m: int, n: int, p: int) -> Tableau:
 def index_set_by_signs(n: int, p: int) -> dict:
     """{m: tableau_from_signs(m, n, p)} over the index set, sorted by m."""
     return {m: tableau_from_signs(m, n, p) for m in sorted(index_signs(n, p))}
+
+
+def diamond_by_push(i: int, n: int, p: int, side: str) -> SeminormalOperator:
+    """The i-th diamond e psi_(w1) ... psi_(wL) e, computed by pushing each
+    member of the one-column p-class sparsely through the block-swap word
+    (the left side applies its last letter first) and dropping off-class
+    terms at the end."""
+    n2 = n2_of(n, p)
+    if not 1 <= i <= n2 - 1:
+        raise IndexError(f"diamond index {i} out of range 1..{n2 - 1}")
+    cls = tableaux.class_of_one_column(n, p)
+    word = block_swap_word(i, p)
+    if side == "left":
+        word = word[::-1]
+    keep = set(cls)
+    action = {}
+    for s in cls:
+        vec = {s: Fraction(1)}
+        for k in word:
+            out = {}
+            for t, c in vec.items():
+                for u, c2 in _psi_images(t, k, p, side).items():
+                    out[u] = out[u] + c * c2 if u in out else c * c2
+            vec = {u: c for u, c in out.items() if c}
+        action[s] = {t: c for t, c in vec.items() if t in keep}
+    return SeminormalOperator(n, p, side, action)

@@ -15,7 +15,7 @@ from tlexact.coeffs import (IntegralityViolationError, InvalidPrimeError,
                             InvariantError, is_p_integral, reduce_mod_p)
 from tlexact.diagrams import TLElement
 
-from oracles import swap_adjacent
+from oracles import diamond_by_push, swap_adjacent
 
 
 def _residue_sequences(n, p):
@@ -594,12 +594,29 @@ def test_diamond_range_guard():
 
 def test_one_cache_entry_per_diamond():
     # every caller names the side, so the left diamonds that the formula
-    # check builds serve the recursive construction and the small JMs
+    # check builds serve the recursive construction and the small JMs; a
+    # keyword call, which would key a second entry, is refused
     K.diamond_formula_check(12, 3)
     misses = K.diamond.cache_info().misses
     K.p_jones_wenzl_recursive_operator(12, 3)
     K.small_jm(2, 12, 3)
     assert K.diamond.cache_info().misses == misses
+    entries = K.diamond.cache_info().currsize
+    with pytest.raises(TypeError):
+        K.diamond(1, 12, 3, side="left")
+    with pytest.raises(TypeError):
+        K.truncation_idempotent(12, 3, side="left")
+    assert K.diamond.cache_info().currsize == entries
+
+
+def test_diamond_word_matches_the_push_oracle():
+    # the operator word against each class member pushed through the psi
+    # word, at sizes that the full-basis word cannot reach
+    for (n, p) in [(24, 3), (30, 5), (33, 3)]:
+        for side in ("left", "right"):
+            for i in range(1, K.n2_of(n, p)):
+                assert K.diamond(i, n, p, side) == diamond_by_push(i, n, p, side), \
+                    (i, n, p, side)
 
 
 def test_class_local_diamond_matches_full_basis_word():
@@ -691,6 +708,9 @@ def test_iota_klr_rejects_an_element_over_fp():
         == K.diamond(1, 8, 3, "left")
     assert K.iota_klr(TLElement.one(1, "Zp", 3), 5, 3) \
         == K.truncation_idempotent(5, 3, "left")
+    # Z_(5) at p = 3: TLElement.in_ring refuses the same mix
+    with pytest.raises(ValueError, match="Z_\\(q\\) with q != 3"):
+        K.iota_klr(TLElement.one(1, "Zp", 5), 5, 3)
 
 
 def test_iota_klr_braid_image():
@@ -1008,9 +1028,8 @@ def test_cell_route_cross_validation():
 
 def test_via_cells_stars_each_element_once(monkeypatch):
     # a left action reads the cell images off a itself, a right action off
-    # one reflection of a: at most one TLElement.star per call.  The
-    # seminormal vectors (whose frame expansions reflect JW boxes) are made
-    # first, so only the route's own reflections are counted
+    # one reflection of a: at most one TLElement.star per call, the
+    # seminormal vectors included
     real = TLElement.star
     calls = []
 
@@ -1020,8 +1039,6 @@ def test_via_cells_stars_each_element_once(monkeypatch):
 
     for (n, p) in [(7, 3), (6, 5)]:
         pjw = P.p_jones_wenzl_direct(n, p)
-        fvecs = {t: P.seminormal_vector(t) for t in T.all_standard_tableaux(n)}
-        monkeypatch.setattr(P, "seminormal_vector", fvecs.__getitem__)
         want = K.direct_projection_operator(n, p)
         # p-JW is a sum of seminormal idempotents, so it acts on the right
         # as the projection onto the same indices
@@ -1032,6 +1049,20 @@ def test_via_cells_stars_each_element_once(monkeypatch):
             assert K.operator_from_element_via_cells(pjw, p, side) == op, (n, p, side)
             assert len(calls) <= 1, (n, p, side, len(calls))
         monkeypatch.undo()
+
+
+def test_via_cells_rejects_seminormal_vectors_that_are_not_triangular(monkeypatch):
+    # each f_t but the lowest gets the lowest basis vector of its cell, so
+    # scanning upward fixes a wrong first coefficient and a residual stays
+    real = P.seminormal_vector
+
+    def skewed(t):
+        low = T.standard_tableaux(T.shape_of(t))[0]
+        return real(t) if t == low else real(t) + D.CellVector.basis_vector(low)
+
+    monkeypatch.setattr(P, "seminormal_vector", skewed)
+    with pytest.raises(InvariantError, match="leaves the span"):
+        K.operator_from_element_via_cells(TLElement.one(4), 3)
 
 
 def test_diamond_element_cross_stack():

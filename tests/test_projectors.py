@@ -125,6 +125,23 @@ def test_seminormal_vector_triangular():
                 assert T.dominance_compare(t, u) in ("equal", "less")
 
 
+def test_seminormal_vector_reflects_no_element(monkeypatch):
+    # JW_n* = JW_n, so each stage of the frame expansion multiplies by the
+    # cached JW box itself
+    real = TLElement.star
+    calls = []
+
+    def counting(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(TLElement, "star", counting)
+    for n in range(1, 8):
+        for t in T.all_standard_tableaux(n):
+            P.seminormal_vector(t)
+    assert calls == []
+
+
 def test_gamma():
     assert P.gamma(T.one_column_tableau(5)) == 1
     assert P.gamma((1, 1, 2)) == Fraction(3, 2)

@@ -50,6 +50,9 @@ def test_contents():
         t = T.one_column_tableau(n)
         assert T.contents(t) == tuple(1 - i for i in range(1, n + 1))
     assert T.contents((1, 2, 1, 2)) == (0, 1, -1, 0)
+    # content counts the entry's column in t[:i], contents walks t once
+    for t in T.all_standard_tableaux(9):
+        assert tuple(T.content(t, i) for i in range(1, 10)) == T.contents(t)
     with pytest.raises(IndexError):
         T.content((1, 2), 3)
 
