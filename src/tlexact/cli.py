@@ -49,17 +49,18 @@ def _progress(msg):
     print(msg, file=sys.stderr)
 
 
-def _load_cache(args):
+def _built(args, build, *build_args):
+    """build(*build_args) between reading and writing the Jones-Wenzl cache
+    file that TL_CACHE or --cache names, if any: called after every argument
+    check and before the first line of stdout."""
     path = os.environ.get("TL_CACHE") or args.cache
     cache = projectors.default_cache()
     if path and os.path.exists(path):
         cache.load(path)
-    return cache, path
-
-
-def _save_cache(cache, path):
+    e = build(*build_args)
     if path:
         cache.save(path)
+    return e
 
 
 def _print_element(e, as_json):
@@ -90,22 +91,16 @@ def _require(args, *names):
 
 
 def _in_ring(e, args):
-    """e over --ring; Zp and Fp need --p and a p-integral e.  A given --p
-    must be an odd prime over Q too."""
-    if args.ring != "Q" or args.p is not None:
-        _require(args, "p")
+    """e over --ring; over Zp and Fp, e must be p-integral."""
     return e if args.ring == "Q" else e.in_ring(args.ring, args.p)
 
 
 def _cmd_jw(args):
     _require(args, "n")
-    cache, path = _load_cache(args)
     if args.n >= 10:
         _progress(f"expanding the Jones-Wenzl projector at n={args.n}; "
                   "this is the slow path")
-    e = projectors.jones_wenzl(args.n)
-    _save_cache(cache, path)
-    _print_element(e, args.json)
+    _print_element(_built(args, projectors.jones_wenzl, args.n), args.json)
     return 0
 
 
@@ -118,7 +113,10 @@ def _cmd_pjw(args):
     if method == "recursive" and not expand:
         raise UsageError(f"--method recursive prints the diagram expansion, "
                          f"kept to n <= {_EXPAND_LIMIT}; use --method both")
-    cache, path = _load_cache(args)
+    if expand:
+        build = (klr.p_jones_wenzl_recursive if method == "recursive"
+                 else projectors.p_jones_wenzl_direct)
+        e = _in_ring(_built(args, build, args.n, args.p), args)
     same = True
     if method == "both":
         report, = _run_row("pjw-direct-vs-recursive", args.n, args.p)
@@ -126,9 +124,7 @@ def _cmd_pjw(args):
         print(json.dumps(report) if args.json else "direct == recursive" if same
               else f"direct != recursive  {report.get('counterexample', '')}".rstrip())
     if expand:
-        build = (klr.p_jones_wenzl_recursive if method == "recursive"
-                 else projectors.p_jones_wenzl_direct)
-        _print_element(_in_ring(build(args.n, args.p), args), args.json)
+        _print_element(e, args.json)
     elif method == "direct":
         # past the expansion limit: print the index set summary
         tabs = tableaux.index_set(args.n, args.p)
@@ -138,7 +134,6 @@ def _cmd_pjw(args):
         print(json.dumps(doc) if args.json else
               "sum of seminormal idempotents at indices "
               + ", ".join(str(m) for m in tabs))
-    _save_cache(cache, path)
     return 0 if same else 1
 
 
@@ -159,9 +154,9 @@ def _cmd_idempotent(args):
     t = _parse_tableau(args.tableau)
     if len(t) > args.max_n:
         raise UsageError(f"tableau size exceeds --max-n={args.max_n}")
-    cache, path = _load_cache(args)
-    e = projectors.seminormal_idempotent(t)
-    _save_cache(cache, path)
+    if args.ring != "Q" or args.p is not None:  # a given --p is checked over Q too
+        _require(args, "p")
+    e = _built(args, projectors.seminormal_idempotent, t)
     _print_element(_in_ring(e, args), args.json)
     return 0
 

@@ -404,9 +404,6 @@ class _Terms(Mapping):
     def __iter__(self):
         return iter(self._num)
 
-    def __contains__(self, d):
-        return d in self._num
-
 
 class TLElement:
     """A sparse linear combination of Temperley-Lieb diagrams, stored as
@@ -500,9 +497,8 @@ class TLElement:
 
     def _accumulate(self, other, c=1, q=1):
         """self += (c/q) other in place, with (c, q) from _scalar, over the
-        lcm of the denominators; _reduce restores lowest terms."""
+        lcm of the denominators; _reduce restores the canonical form."""
         self._check_compatible(other)
-        p = self.p if self.ring == "Fp" else None
         q *= other.den
         den = lcm(self.den, q)
         if den != self.den:
@@ -513,8 +509,6 @@ class TLElement:
         get = num.get
         for d, v in other.num.items():
             new = get(d, 0) + c * v
-            if p is not None:
-                new %= p
             if new:
                 num[d] = new
             else:
@@ -532,17 +526,10 @@ class TLElement:
         return self._raw({d: v * c for d, v in self.num.items()},
                          self.den * q)._reduce()
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __mul__(self, other):
-        if not isinstance(other, TLElement):
-            return self.scale(other)
         self._check_compatible(other)
         acc = _factored(self.num, other.num, _context(self.n))
         return self._raw(acc, self.den * other.den)._reduce()
-
-    __rmul__ = scale
 
     def star(self):
         return self._raw({star_pairing(d): c for d, c in self.num.items()}, self.den)
@@ -645,11 +632,7 @@ def phi_word(word, n) -> TLElement:
 
 
 def phi(terms, n) -> TLElement:
-    """Linear extension of phi_word to formal sums [(coeff, word), ...].
-    A bare word (possibly empty, mapping to the unit) is also accepted."""
-    terms = list(terms)
-    if all(isinstance(x, int) for x in terms):
-        return phi_word(terms, n)
+    """Linear extension of phi_word to formal sums [(coeff, word), ...]."""
     return linear_combination(((c, phi_word(word, n)) for c, word in terms), n)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from tlexact import klr, projectors, tableaux
 from tlexact.cli import main
 from tlexact.coeffs import IntegralityViolationError
-from tlexact.diagrams import TLElement
+from tlexact.diagrams import TLElement, element_to_str
 
 
 def run(capsys, *argv):
@@ -409,14 +409,56 @@ def test_unwritable_cache_is_a_cache_error(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "no-such-dir" / "jw.json")
     for argv in (("jw", "--n", "3"), ("pjw", "--n", "3", "--p", "3"),
                  ("idempotent", "--tableau", "1,1,2")):
-        code, _, err = run(capsys, *argv, "--cache", path)
-        assert code == 2, argv
+        # the element is built, but nothing is printed before the write fails
+        code, out, err = run(capsys, *argv, "--cache", path)
+        assert (code, out) == (2, ""), argv
         assert err.startswith("cache error: ") and err.count("\n") == 1
         assert "Traceback" not in err
     monkeypatch.setenv("TL_CACHE", path)
     code, _, err = run(capsys, "jw", "--n", "3")
     assert code == 2 and err.startswith("cache error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_arguments_are_checked_before_the_cache(tmp_path, capsys, monkeypatch):
+    # --ring Fp without --p, or with a --p that is no prime: a usage error
+    # before E'_t is built or the cache file is written
+    path = tmp_path / "jw-cache.json"
+
+    def built(t):
+        raise AssertionError("E'_t was built")
+    monkeypatch.setattr(projectors, "seminormal_idempotent", built)
+    for p in ((), ("--p", "4")):
+        code, out, err = run(capsys, "idempotent", "--tableau", "1,1,2,1,2",
+                             "--ring", "Fp", *p, "--cache", str(path))
+        assert (code, out) == (2, ""), p
+        assert err.startswith("usage error: ") and err.count("\n") == 1, p
+        assert not path.exists(), p
+
+
+def test_pjw_without_an_expansion_leaves_the_cache_alone(tmp_path, capsys):
+    # past the expansion limit pjw builds no element, so it neither reads
+    # nor writes the cache file, even a corrupt one
+    path = tmp_path / "jw-cache.json"
+    argv = ("pjw", "--n", "12", "--p", "3", "--method", "both",
+            "--cache", str(path))
+    assert run(capsys, *argv) == (0, "direct == recursive\n", "")
+    assert not path.exists()
+    path.write_bytes(b"{not json")
+    assert run(capsys, *argv) == (0, "direct == recursive\n", "")
+    assert path.read_bytes() == b"{not json"
+    # with an expansion, a corrupt cache is a cache error before any output
+    code, out, err = run(capsys, "pjw", "--n", "5", "--p", "3", "--method",
+                         "both", "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+
+
+def test_jw_past_nine_strands_notes_the_slow_path(capsys, monkeypatch):
+    monkeypatch.setattr(projectors, "jones_wenzl", TLElement.one)
+    assert run(capsys, "jw", "--n", "10") == (
+        0, element_to_str(TLElement.one(10)) + "\n",
+        "expanding the Jones-Wenzl projector at n=10; this is the slow path\n")
 
 
 def test_cache_file_is_validated(tmp_path, capsys):

@@ -131,8 +131,8 @@ def test_star_is_an_anti_automorphism():
 
 
 def test_phi():
-    assert D.phi((), 3) == TLElement.one(3)
-    assert D.phi((1,), 2) == TLElement.generator(1, 2) - TLElement.one(2)
+    assert D.phi_word((), 3) == TLElement.one(3)
+    assert D.phi_word((1,), 2) == TLElement.generator(1, 2) - TLElement.one(2)
     kernel_generator = [(1, (1, 2, 1)), (1, (1, 2)), (1, (2, 1)),
                         (1, (1,)), (1, (2,)), (1, ())]
     assert D.phi(kernel_generator, 3).is_zero()
@@ -388,6 +388,11 @@ def test_ring_guards():
         TLElement.one(2).in_ring("Zp", 3).__add__(TLElement.one(2))
     with pytest.raises(ValueError):
         TLElement(2, {D.identity_pairing(2): Fraction(1, 3)}, "Zp", 3)
+    # scalars go through scale, as for SeminormalOperator
+    u1 = TLElement.generator(1, 2)
+    for product in (lambda: u1 * 2, lambda: 2 * u1, lambda: -u1):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_ring_conversion_starts_over_q_or_zp_at_the_same_prime():
@@ -433,6 +438,9 @@ def test_fp_arithmetic():
     assert u1 * u1 == u1.scale(2)
     e = one + u1
     assert e * e == e  # the reduction of 1 - u1/2 is idempotent mod 3
+    # sums and differences that vanish mod 3 drop their terms
+    assert (e + u1 + u1 - one).is_zero()
+    assert e - u1.scale(4) == one
 
 
 def test_diagram_words():

@@ -326,21 +326,27 @@ def _assert_same_failures(n, p, side):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_klr_relations_detect_a_psi_coefficient(monkeypatch, side):
+    # psi_2 at s with one coefficient raised by 1; then psi_4 at s with a
+    # diagonal entry s -> s, although the residues at 4 and 5 differ
     n, p = 6, 3
-    s, k = (1, 1, 2, 1, 2, 2), 2
+    s = (1, 1, 2, 1, 2, 2)
     real = K._psi_images
+    for k in (2, 4):
+        def perturbed(t, kk, pp, sd):
+            out = real(t, kk, pp, sd)
+            if (t, kk, sd) == (s, k, side):
+                out = dict(out)
+                u = min(out) if k == 2 else s
+                out[u] = out.get(u, 0) + 1
+            return out
 
-    def perturbed(t, kk, pp, sd):
-        out = real(t, kk, pp, sd)
-        if (t, kk, sd) == (s, k, side):
-            u = min(out)
-            out = dict(out)
-            out[u] += 1
-        return out
-
-    assert real(s, k, p, side)
-    monkeypatch.setattr(K, "_psi_images", perturbed)
-    _assert_same_failures(n, p, side)
+        assert real(s, k, p, side)
+        monkeypatch.setattr(K, "_psi_images", perturbed)
+        _assert_same_failures(n, p, side)
+    # psi_4 no longer moves e(i) to e(s_4 i): the cut-vs-cut evaluator fails
+    failed = {r["check"]: r["counterexample"]
+              for r in K.klr_relations_check(n, p) if not r["pass"]}
+    assert failed[f"psi-e-exchange [{side}]"] == (4, (0, 2, 1, 0, 1, 2))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

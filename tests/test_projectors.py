@@ -109,6 +109,24 @@ def test_cache_save_writes_only_new_entries(tmp_path):
     assert {doc["n"] for doc in json.loads(path.read_text())} == {1, 2, 3, 4, 5}
 
 
+def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "jw-cache.json"
+    old = P.JWCache()
+    old.get(2)
+    old.save(path)
+    before = path.read_bytes()
+    cache = P.JWCache()
+    cache.get(3)
+
+    def replace(src, dst):
+        raise OSError("planted")
+    monkeypatch.setattr(P.os, "replace", replace)
+    with pytest.raises(P.CacheError, match="planted"):
+        cache.save(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_seminormal_vector_examples():
     f = P.seminormal_vector(T.one_column_tableau(5))
     assert f.coords == {T.one_column_tableau(5): Fraction(1)}
